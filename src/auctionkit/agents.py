@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .clearing import clear_batch, revenue_per_bidder, welfare_per_bidder
+from .clearing import clear, revenue_per_bidder, welfare_per_bidder
 from .types import (
     AgentState,
     AuctionFormat,
@@ -206,7 +206,7 @@ def step_multipliers(
     instance.require_valid()
     config.require_valid()
     state.require_valid()
-    out = clear_batch(instance, config, uniform_bids(instance, state.multipliers))
+    out = clear(instance, config, uniform_bids(instance, state.multipliers))
     new = _advance(
         instance,
         config,
@@ -240,7 +240,7 @@ def run_dynamics(
     converged = False
 
     def evaluate(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = clear_batch(instance, config, uniform_bids(instance, d))
+        out = clear(instance, config, uniform_bids(instance, d))
         return welfare_per_bidder(instance, out), revenue_per_bidder(out)
 
     for t in range(iters):
@@ -330,7 +330,7 @@ def best_response_uniform(
     best: Optional[tuple[bool, float, float]] = None
     for d in candidates:
         bids[i, :] = d * instance.values[i, :]
-        out = clear_batch(instance, config, BidProfile(bids))
+        out = clear(instance, config, BidProfile(bids))
         w = float(welfare_per_bidder(instance, out)[i])
         r = float(revenue_per_bidder(out)[i])
         key = (ros_satisfied(w, r), objective(lam, w, r))

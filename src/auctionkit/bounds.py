@@ -24,9 +24,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .clearing import (
-    clear_batch,
+    clear,
     opt_welfare,
-    rank_auctions,
     revenue_per_bidder,
     top_value_bidders,
     welfare_per_bidder,
@@ -201,14 +200,15 @@ def check_lemma1_preconditions(
     else:
         checks.append(PreconditionCheck("signal_bands", True))
 
-    # 2. outcome really is rank-by-score with reserve gating
-    view = rank_auctions(instance, config, bids)
+    # 2. outcome really is rank-by-score with reserve gating; ranking does
+    # not depend on the format, so the VCG clear of check 4 gives the winners
+    vcg = clear(instance, MechanismConfig(AuctionFormat.VCG, instance.n, instance.m, r, z), bids)
     mismatch = ""
     for j in range(instance.m):
-        expect = view.order[j][: instance.slots[j]]
-        got = [int(i) for i in outcome.winners[j] if i >= 0]
-        if list(expect) != got:
-            mismatch = f"auction {j}: expected winners {list(expect)}, got {got}"
+        expect = [i for i in vcg.winners[j].tolist() if i >= 0]
+        got = [i for i in outcome.winners[j].tolist() if i >= 0]
+        if expect != got:
+            mismatch = f"auction {j}: expected winners {expect}, got {got}"
             break
     checks.append(PreconditionCheck("score_ranking", not mismatch, mismatch))
 
@@ -226,8 +226,7 @@ def check_lemma1_preconditions(
         checks.append(PreconditionCheck("bid_lower_bound", True))
 
     # 4. winners pay at least the VCG price for these bids
-    vcg = MechanismConfig(AuctionFormat.VCG, instance.n, instance.m, r, z)
-    floor = clear_batch(instance, vcg, bids).payments
+    floor = vcg.payments
     slack = _FLOAT_SLACK * np.maximum(1.0, floor)
     short = outcome.payments < floor - slack
     if short.any():

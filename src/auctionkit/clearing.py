@@ -18,36 +18,20 @@ where clamp floors the unit price at 0 and caps it at the winner's own
 bid.  The VCG sum runs through u = s with pos[s] = 0, so a reserve binds
 on the bottom slot even with no bidder beneath it.
 
-`clear` is the readable per-auction reference; `clear_batch` is the
-vectorized implementation used in hot loops.  The two are bit-identical.
+`clear` is the one clearing engine.  It ranks every auction with one
+stable argsort and prices all (auction, slot) pairs at once, with click
+weights from the instance's padded `pos_table`.  The VCG sum is added up
+one u at a time, in increasing u, which fixes its floating-point order.
+The result stores winners as one (m, s_max) matrix padded with -1 plus
+the per-auction slot counts (see `Outcome`).  `tests/oracle.py` is the
+independent per-auction reference the engine is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .types import AuctionFormat, BidProfile, MechanismConfig, Outcome, ProblemInstance
-
-
-@dataclass(frozen=True)
-class RankedAuctionView:
-    """Per-auction eligibility and ranking, before pricing.
-
-    order[j] holds the eligible bidder indices of auction j from best score
-    to worst; ranked_scores[j] holds their scores in the same order, which
-    is the score sequence the pricing formulas read (0 past the end).
-    """
-
-    eligible: tuple[np.ndarray, ...]
-    order: tuple[np.ndarray, ...]
-    ranked_scores: tuple[np.ndarray, ...]
-
-    def score_at(self, j: int, rank: int) -> float:
-        """Score of the rank-th best eligible bidder in auction j, 0 if none."""
-        s = self.ranked_scores[j]
-        return float(s[rank]) if rank < len(s) else 0.0
 
 
 def _check_shapes(instance: ProblemInstance, config: MechanismConfig, bids: BidProfile) -> None:
@@ -62,123 +46,48 @@ def _check_shapes(instance: ProblemInstance, config: MechanismConfig, bids: BidP
         raise ValueError(f"bids shaped {bids.bids.shape}, instance needs {shape}")
 
 
-def rank_auctions(instance: ProblemInstance, config: MechanismConfig, bids: BidProfile) -> RankedAuctionView:
-    """Rank eligible bidders by score in every auction."""
-    _check_shapes(instance, config, bids)
-    b = bids.bids
-    eligible = []
-    order = []
-    ranked_scores = []
-    for j in range(instance.m):
-        elig = [i for i in range(instance.n) if b[i, j] >= config.reserves[i, j]]
-        ranked = sorted(elig, key=lambda i: (-(b[i, j] + config.boosts[i, j]), i))
-        eligible.append(np.array(elig, dtype=np.int64))
-        order.append(np.array(ranked, dtype=np.int64))
-        ranked_scores.append(np.array([b[i, j] + config.boosts[i, j] for i in ranked]))
-    return RankedAuctionView(tuple(eligible), tuple(order), tuple(ranked_scores))
+def _unit_price(score: np.ndarray, z: np.ndarray, r: np.ndarray, bid: np.ndarray) -> np.ndarray:
+    """clamp(max(score - z, r)): floored at 0, capped at the bid."""
+    return np.minimum(np.maximum(np.maximum(score - z, r), 0.0), bid)
 
 
 def clear(instance: ProblemInstance, config: MechanismConfig, bids: BidProfile) -> Outcome:
-    """Clear all auctions, one at a time.  Reference implementation."""
-    view = rank_auctions(instance, config, bids)
-    n, m = instance.n, instance.m
-    b = bids.bids
-    payments = np.zeros((n, m))
-    winners = []
-    for j in range(m):
-        s = instance.slots[j]
-        ranked = view.order[j]
-        scores = view.ranked_scores[j]
-        nf = len(ranked)
-
-        def score_at(rank: int) -> float:
-            return float(scores[rank]) if rank < nf else 0.0
-
-        def pos_at(k: int) -> float:
-            return float(instance.pos[j][k]) if k < s else 0.0
-
-        w = np.full(s, -1, dtype=np.int64)
-        for k in range(min(s, nf)):
-            i = int(ranked[k])
-            w[k] = i
-            bid = float(b[i, j])
-            z = float(config.boosts[i, j])
-            r = float(config.reserves[i, j])
-            if config.format is AuctionFormat.FPA:
-                p = bid * pos_at(k)
-            elif config.format is AuctionFormat.GSP:
-                t = max(score_at(k + 1) - z, r)
-                t = max(t, 0.0)
-                t = min(t, bid)
-                p = t * pos_at(k)
-            else:
-                p = 0.0
-                for u in range(k + 1, s + 1):
-                    t = max(score_at(u) - z, r)
-                    t = max(t, 0.0)
-                    t = min(t, bid)
-                    p += t * (pos_at(u - 1) - pos_at(u))
-            payments[i, j] = p
-        winners.append(w)
-    return Outcome(winners, payments)
-
-
-def clear_batch(instance: ProblemInstance, config: MechanismConfig, bids: BidProfile) -> Outcome:
-    """Clear all auctions vectorized across auctions.
-
-    Bit-identical to `clear`: the same operations are applied elementwise in
-    the same order, so results agree exactly, not just to tolerance.
-    """
+    """Clear all auctions at once."""
     _check_shapes(instance, config, bids)
     n, m = instance.n, instance.m
-    if m == 0:
-        return Outcome([], np.zeros((n, 0)))
+    pos = instance.pos_table  # (m, s_max + 1)
+    s_max = pos.shape[1] - 1
     b = bids.bids
-    res = config.reserves
-    boo = config.boosts
 
-    eligible = b >= res
-    scores = b + boo
-    masked = np.where(eligible, scores, -1.0)  # eligible scores are >= 0, so -1 sorts last
-    order = np.argsort(-masked, axis=0, kind="stable")
-    ranked = np.take_along_axis(masked, order, axis=0)
-    score_seq = np.vstack([np.maximum(ranked, 0.0), np.zeros((1, m))])
-    elig_count = eligible.sum(axis=0)
+    eligible = b >= config.reserves
+    masked = np.where(eligible, b + config.boosts, -1.0)  # eligible scores are >= 0, so -1 sorts last
+    order = np.argsort(-masked, axis=0, kind="stable")[: s_max + 1]
+    ranked = np.maximum(np.take_along_axis(masked, order, axis=0), 0.0)
+    # score[j, u]: score of the rank-u eligible bidder of auction j, 0 past the last one
+    score = np.vstack([ranked, np.zeros((1, m))])[: s_max + 1].T
+    top = order[:s_max].T  # (m, s_max): the bidder ranked k in auction j
+    cols = np.arange(m)[:, None]
+    filled = (np.arange(s_max) < np.asarray(instance.slots)[:, None]) & eligible[top, cols]
 
-    slots_arr = np.asarray(instance.slots, dtype=np.int64)
-    smax = int(slots_arr.max())
-    pos_pad = np.zeros((m, smax + 1))
-    for j in range(m):
-        pos_pad[j, : slots_arr[j]] = instance.pos[j]
+    bid = b[top, cols]
+    z = config.boosts[top, cols]
+    r = config.reserves[top, cols]
+    if config.format is AuctionFormat.FPA:
+        price = bid * pos[:, :s_max]
+    elif config.format is AuctionFormat.GSP:
+        price = _unit_price(score[:, 1:], z, r, bid) * pos[:, :s_max]
+    else:
+        price = np.zeros((m, s_max))
+        for u in range(1, s_max + 1):
+            # the rank-u score prices every slot above it; past an auction's
+            # own slot count the weight difference is 0
+            t = _unit_price(score[:, u : u + 1], z[:, :u], r[:, :u], bid[:, :u])
+            price[:, :u] += t * (pos[:, u - 1] - pos[:, u])[:, None]
 
+    js, ks = np.nonzero(filled)
     payments = np.zeros((n, m))
-    winners_mat = np.full((smax, m), -1, dtype=np.int64)
-    aidx = np.arange(m)
-    for k in range(smax):
-        filled = (k < slots_arr) & (k < elig_count)
-        if not filled.any():
-            continue
-        cols = aidx[filled]
-        w = order[k, filled]
-        winners_mat[k, filled] = w
-        bid = b[w, cols]
-        z = boo[w, cols]
-        r = res[w, cols]
-        if config.format is AuctionFormat.FPA:
-            p = bid * pos_pad[cols, k]
-        elif config.format is AuctionFormat.GSP:
-            t = np.minimum(np.maximum(np.maximum(score_seq[k + 1, cols] - z, r), 0.0), bid)
-            p = t * pos_pad[cols, k]
-        else:
-            p = np.zeros(len(cols))
-            for u in range(k + 1, smax + 1):
-                # beyond an auction's own slot count the pos difference is 0
-                t = np.minimum(np.maximum(np.maximum(score_seq[u, cols] - z, r), 0.0), bid)
-                p = p + t * (pos_pad[cols, u - 1] - pos_pad[cols, u])
-        payments[w, cols] = p
-
-    winners = [winners_mat[: slots_arr[j], j] for j in range(m)]
-    return Outcome(winners, payments)
+    payments[top[js, ks], js] = price[js, ks]
+    return Outcome(np.where(filled, top, -1), payments, instance.slots)
 
 
 def opt_welfare(instance: ProblemInstance) -> float:
@@ -206,16 +115,11 @@ def top_value_bidders(instance: ProblemInstance) -> np.ndarray:
 
 
 def welfare_per_bidder(instance: ProblemInstance, outcome: Outcome) -> np.ndarray:
-    """Value each bidder receives from the allocation."""
-    wel = np.zeros(instance.n)
-    if instance.m == 0:
-        return wel
-    all_w = np.concatenate(outcome.winners)
-    all_j = np.concatenate([np.full(len(w), j) for j, w in enumerate(outcome.winners)])
-    all_pos = np.concatenate(instance.pos)
-    got = all_w >= 0
-    np.add.at(wel, all_w[got], instance.values[all_w[got], all_j[got]] * all_pos[got])
-    return wel
+    """Value each bidder receives from the allocation, summed auction by auction."""
+    js, ks = np.nonzero(outcome.winners >= 0)
+    w = outcome.winners[js, ks]
+    gain = instance.values[w, js] * instance.pos_table[js, ks]
+    return np.bincount(w, weights=gain, minlength=instance.n)
 
 
 def revenue_per_bidder(outcome: Outcome) -> np.ndarray:

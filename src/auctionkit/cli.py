@@ -104,7 +104,7 @@ def _cmd_clear(args: argparse.Namespace) -> int:
         writer = csv.writer(sys.stdout)
         writer.writerow(["auction", "slot", "winner", "payment"])
         for j, winners in enumerate(outcome.winners):
-            for k, i in enumerate(winners):
+            for k, i in enumerate(winners[: outcome.slots[j]]):
                 pay = repr(float(outcome.payments[i, j])) if i >= 0 else ""
                 writer.writerow([j, k, int(i), pay])
     if args.out is not None:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .clearing import clear_batch, top_value_bidders
+from .clearing import clear, top_value_bidders
 from .types import AuctionFormat, BidProfile, MechanismConfig, ProblemInstance
 
 __all__ = [
@@ -198,18 +198,12 @@ def _clear_auction_scenarios(
         np.repeat(config.reserves[:, j : j + 1], T, axis=1),
         np.repeat(config.boosts[:, j : j + 1], T, axis=1),
     )
-    out = clear_batch(tiled, cfg, BidProfile(bids))
-    winners = np.stack(out.winners)  # (T, s)
+    out = clear(tiled, cfg, BidProfile(bids))
+    ts, ks = np.nonzero(out.winners >= 0)  # winners is (T, s)
+    w = out.winners[ts, ks]
     wel = np.zeros((n, T))
-    cols = np.arange(T)
-    for k in range(s):
-        w = winners[:, k]
-        filled = w >= 0
-        np.add.at(
-            wel,
-            (w[filled], cols[filled]),
-            instance.values[w[filled], j] * instance.pos[j][k],
-        )
+    # a bidder wins at most one slot per copy, so no cell is written twice
+    wel[w, ts] = instance.values[w, j] * instance.pos[j][ks]
     return wel, out.payments
 
 

@@ -43,6 +43,7 @@ __all__ = [
 
 TREATMENT_KINDS = ("baseline", "reserve", "boost", "boost_reserve")
 MAX_SEED_ATTEMPTS = 16
+MAX_SIGNAL_ROUNDS = 1000  # rejection rounds before a signal draw refuses
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class TreatmentSpec:
     """One intervention: which signals to apply and at what accuracy.
 
     Signals are per-(bidder, auction) truncated Gaussians with mean
-    (1 + gamma) / 2, standard deviation signal_sd, support [gamma, 1].
+    (1 + gamma) / 2, standard deviation signal_sd, support [gamma, 1).
     Reserves use r = s * v; boosts use z = s * v / (1 - gamma).
     """
 
@@ -187,16 +188,27 @@ def generate_instance(spec: GeneratorSpec, seed: SeedLike) -> ProblemInstance:
 def _truncated_gaussian(
     rng: np.random.Generator, mean: float, sd: float, lo: float, hi: float, size
 ) -> np.ndarray:
-    """Rejection sampling; the band is wide relative to sd here, so the
-    acceptance rate is near 1 and the loop terminates fast."""
+    """Rejection sampling on the half-open band [lo, hi).
+
+    With the band wide relative to sd the acceptance rate is near 1 and a
+    few rounds suffice; after MAX_SIGNAL_ROUNDS rounds it refuses.
+    """
     out = np.empty(size)
     filled = 0
     flat = out.reshape(-1)
-    while filled < flat.size:
+    for _ in range(MAX_SIGNAL_ROUNDS):
+        if filled == flat.size:
+            break
         draw = rng.normal(mean, sd, size=flat.size - filled)
-        keep = draw[(draw >= lo) & (draw <= hi)]
+        keep = draw[(draw >= lo) & (draw < hi)]
         flat[filled : filled + keep.size] = keep
         filled += keep.size
+    if filled < flat.size:
+        raise ValueError(
+            f"signal draw N({mean:g}, {sd:g}) truncated to [{lo:g}, {hi:g}): "
+            f"{flat.size - filled} of {flat.size} draws still outside the band "
+            f"after {MAX_SIGNAL_ROUNDS} rounds; refusing"
+        )
     return out
 
 

@@ -105,6 +105,17 @@ class ProblemInstance:
         if self.issues:
             raise ValueError("invalid instance: " + "; ".join(self.issues))
 
+    @cached_property
+    def pos_table(self) -> np.ndarray:
+        """Read-only (m, s_max + 1) click weights, 0 past each auction's last slot."""
+        self.require_valid()
+        slots = np.asarray(self.slots, dtype=np.int64)
+        table = np.zeros((self.m, int(slots.max(initial=0)) + 1))
+        if self.m:
+            table[np.arange(table.shape[1]) < slots[:, None]] = np.concatenate(self.pos)
+        table.setflags(write=False)
+        return table
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProblemInstance):
             return NotImplemented
@@ -260,33 +271,36 @@ class BidProfile:
 class Outcome:
     """Allocation and payments produced by clearing.
 
-    winners[j][k] is the bidder holding slot k of auction j, or -1 when the
-    slot went unfilled (fewer eligible bidders than slots).  payments[i, j]
-    is bidder i's total payment in auction j; zero for non-winners.
+    winners is an (m, s_max) int matrix: winners[j, k] is the bidder holding
+    slot k of auction j, or -1 when the slot went unfilled (fewer eligible
+    bidders than slots) or does not exist (k >= slots[j]).  slots[j] is the
+    slot count of auction j.  payments[i, j] is bidder i's total payment in
+    auction j; zero for non-winners.
     """
 
-    winners: tuple[np.ndarray, ...]
+    winners: np.ndarray
     payments: np.ndarray
+    slots: tuple[int, ...]
 
-    def __init__(self, winners: Sequence[Any], payments: Any):
-        ws = []
-        for w in winners:
-            arr = np.array(w, dtype=np.int64, order="C")
-            arr.setflags(write=False)
-            ws.append(arr)
-        object.__setattr__(self, "winners", tuple(ws))
+    def __init__(self, winners: Any, payments: Any, slots: Sequence[int]):
+        slots = tuple(int(s) for s in slots)
+        w = np.array(winners, dtype=np.int64, order="C")
+        s_max = max(slots, default=0)
+        if w.shape != (len(slots), s_max):
+            raise ValueError(f"winners must have shape ({len(slots)}, {s_max}), got {w.shape}")
+        if np.any(w[np.arange(s_max) >= np.array(slots)[:, None]] != -1):
+            raise ValueError("winners past an auction's slot count must be -1")
+        w.setflags(write=False)
         pay = np.array(payments, dtype=np.float64, order="C")
         pay.setflags(write=False)
+        object.__setattr__(self, "winners", w)
         object.__setattr__(self, "payments", pay)
+        object.__setattr__(self, "slots", slots)
 
     def allocation_triples(self) -> list[tuple[int, int, int]]:
         """(bidder, auction, slot) for every filled slot, ordered by (auction, slot)."""
-        out = []
-        for j, w in enumerate(self.winners):
-            for k, i in enumerate(w):
-                if i >= 0:
-                    out.append((int(i), j, k))
-        return out
+        js, ks = np.nonzero(self.winners >= 0)
+        return list(zip(self.winners[js, ks].tolist(), js.tolist(), ks.tolist()))
 
     def slot_of(self, i: int, j: int) -> Optional[int]:
         hits = np.nonzero(self.winners[j] == i)[0]
@@ -296,8 +310,8 @@ class Outcome:
         if not isinstance(other, Outcome):
             return NotImplemented
         return (
-            len(self.winners) == len(other.winners)
-            and all(np.array_equal(a, b) for a, b in zip(self.winners, other.winners))
+            self.slots == other.slots
+            and np.array_equal(self.winners, other.winners)
             and np.array_equal(self.payments, other.payments)
         )
 
@@ -305,7 +319,7 @@ class Outcome:
         return {
             "allocation": [list(t) for t in self.allocation_triples()],
             "payments": self.payments.tolist(),
-            "slots": [int(len(w)) for w in self.winners],
+            "slots": list(self.slots),
         }
 
     @classmethod
@@ -317,10 +331,10 @@ class Outcome:
             slots = [0] * m
             for _, j, k in d["allocation"]:
                 slots[j] = max(slots[j], k + 1)
-        winners = [np.full(s, -1, dtype=np.int64) for s in slots]
+        winners = np.full((len(slots), max(slots, default=0)), -1, dtype=np.int64)
         for i, j, k in d["allocation"]:
-            winners[j][k] = i
-        return cls(winners, payments)
+            winners[j, k] = i
+        return cls(winners, payments, slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,5 +428,15 @@ def save_json(obj: Any, path: str) -> None:
 
 
 def load_json(cls: type, path: str) -> Any:
+    """Read one value type from a JSON file; a malformed file raises a
+    one-line ValueError naming the file."""
     with open(path) as fh:
-        return cls.from_dict(json.load(fh))
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(d).__name__}")
+    try:
+        return cls.from_dict(d)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -50,7 +50,7 @@ def lemma_trial(rng, n_max=5, m_max=4):
     from auctionkit import (
         LemmaParams,
         check_lemma1_preconditions,
-        clear_batch,
+        clear,
         opt_welfare,
     )
 
@@ -77,7 +77,7 @@ def lemma_trial(rng, n_max=5, m_max=4):
         above = rng.random(inst.n) < 0.3
         scale[above] += rng.uniform(0.0, 0.5, size=int(above.sum()))
         bids = BidProfile(scale[:, None] * v)
-        outcome = clear_batch(inst, config, bids)
+        outcome = clear(inst, config, bids)
         report = check_lemma1_preconditions(inst, config, bids, outcome, params)
         if report.ok:
             return inst, config, bids, outcome, params

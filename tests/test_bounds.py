@@ -17,7 +17,6 @@ from auctionkit import (
     assert_corollary,
     check_lemma1_preconditions,
     clear,
-    clear_batch,
     lemma1_bounds,
     opt_welfare,
     overlap_partition,
@@ -179,17 +178,18 @@ class TestPreconditions:
         inst = ProblemInstance(2, 1, [1], [[4.0], [1.0]], [[1.0]])
         config = MechanismConfig(AuctionFormat.VCG, 2, 1)
         bids = BidProfile(inst.values)
-        fake = Outcome([np.array([1])], np.array([[0.0], [0.5]]))
+        fake = Outcome([[1]], np.array([[0.0], [0.5]]), [1])
         report = check_lemma1_preconditions(
             inst, config, bids, fake, LemmaParams(alpha=1.0, beta=0.0)
         )
         assert not report["score_ranking"].ok
+        assert report["score_ranking"].detail == "auction 0: expected winners [0], got [1]"
 
     def test_payment_above_value_detected(self):
         inst = ProblemInstance(1, 1, [1], [[1.0]], [[1.0]])
         config = MechanismConfig(AuctionFormat.VCG, 1, 1)
         bids = BidProfile([[1.0]])
-        fake = Outcome([np.array([0])], np.array([[2.0]]))
+        fake = Outcome([[0]], np.array([[2.0]]), [1])
         report = check_lemma1_preconditions(
             inst, config, bids, fake, LemmaParams(alpha=1.0, beta=0.0)
         )
@@ -256,7 +256,7 @@ class TestAssertCorollary:
                 for k, i in enumerate(w):
                     if i >= 0:
                         full[i, j] += inst.values[i, j] * inst.pos[j][k]
-            paid = Outcome(out.winners, full)
+            paid = Outcome(out.winners, full, out.slots)
             report = assert_corollary(inst, config, paid, ident, 0.5, bids)
             assert report.passed, (ident, report.to_dict())
 

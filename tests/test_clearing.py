@@ -1,5 +1,5 @@
 """Clearing engine tests: frozen worked examples, oracle cross-checks,
-batch/reference equality, and pricing invariants."""
+bit-identity with the oracle, and pricing invariants."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,7 @@ from auctionkit import (
     MechanismConfig,
     ProblemInstance,
     clear,
-    clear_batch,
     opt_welfare,
-    rank_auctions,
     revenue,
     top_value_bidders,
     welfare,
@@ -31,6 +29,25 @@ def one_auction(pos, values):
 
 def plain(fmt, n, m=1):
     return MechanismConfig(fmt, n, m)
+
+
+def oracle_outcome(inst, config, bids):
+    """The oracle's winners in the dense (m, s_max) layout padded with -1,
+    and its payments."""
+    winners, payments = oracle_clear(
+        inst.n,
+        inst.m,
+        list(inst.slots),
+        [p.tolist() for p in inst.pos],
+        config.format.value,
+        config.reserves.tolist(),
+        config.boosts.tolist(),
+        bids.bids.tolist(),
+    )
+    dense = np.full((inst.m, max(inst.slots)), -1, dtype=np.int64)
+    for j, w in enumerate(winners):
+        dense[j, : len(w)] = w
+    return dense, np.array(payments)
 
 
 class TestWorkedExamples:
@@ -112,20 +129,9 @@ class TestOracleEquivalence:
             config = random_config(rng, inst)
             bids = random_bids(rng, inst)
             got = clear(inst, config, bids)
-            winners, payments = oracle_clear(
-                inst.n,
-                inst.m,
-                list(inst.slots),
-                [p.tolist() for p in inst.pos],
-                config.format.value,
-                config.reserves.tolist(),
-                config.boosts.tolist(),
-                bids.bids.tolist(),
-            )
-            for j in range(inst.m):
-                filled = [int(i) for i in got.winners[j] if i >= 0]
-                assert filled == winners[j], (inst.to_dict(), config.to_dict())
-            assert np.array_equal(got.payments, np.array(payments))
+            winners, payments = oracle_outcome(inst, config, bids)
+            assert np.array_equal(got.winners, winners), (inst.to_dict(), config.to_dict())
+            assert np.array_equal(got.payments, payments)
 
     def test_opt_welfare_matches_oracle(self):
         rng = np.random.default_rng(8)
@@ -138,15 +144,18 @@ class TestOracleEquivalence:
 
 
 class TestBatchEquality:
+    """The vectorized engine is bit-identical to the per-auction oracle."""
+
     def test_batch_bit_identical_to_reference(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             inst = random_instance(rng, n_max=6, m_max=5)
             config = random_config(rng, inst)
             bids = random_bids(rng, inst)
-            a = clear(inst, config, bids)
-            b = clear_batch(inst, config, bids)
-            assert a == b
+            out = clear(inst, config, bids)
+            winners, payments = oracle_outcome(inst, config, bids)
+            assert np.array_equal(out.winners, winners)
+            assert np.array_equal(out.payments, payments)
 
     def test_batch_on_wide_instance(self):
         rng = np.random.default_rng(10)
@@ -161,7 +170,10 @@ class TestBatchEquality:
             boosts=rng.uniform(0, 2, size=(n, m)),
         )
         bids = BidProfile(rng.uniform(0, 12, size=(n, m)))
-        assert clear(inst, config, bids) == clear_batch(inst, config, bids)
+        out = clear(inst, config, bids)
+        winners, payments = oracle_outcome(inst, config, bids)
+        assert np.array_equal(out.winners, winners)
+        assert np.array_equal(out.payments, payments)
 
 
 class TestInvariants:
@@ -202,18 +214,24 @@ class TestInvariants:
             assert welfare(inst, out) == pytest.approx(opt_welfare(inst), rel=1e-12)
 
     def test_ranked_view_matches_clearing(self):
+        """Filled slots hold eligible bidders in nonincreasing score order;
+        unfilled and missing slots hold -1."""
         rng = np.random.default_rng(14)
-        inst = random_instance(rng, n_max=5, m_max=3)
-        config = random_config(rng, inst)
-        bids = random_bids(rng, inst)
-        view = rank_auctions(inst, config, bids)
-        out = clear(inst, config, bids)
-        for j in range(inst.m):
-            nwin = min(inst.slots[j], len(view.order[j]))
-            assert out.winners[j][:nwin].tolist() == view.order[j][:nwin].tolist()
-            # ranked scores nonincreasing, extended tail reads 0
-            assert np.all(np.diff(view.ranked_scores[j]) <= 0)
-            assert view.score_at(j, len(view.order[j]) + 3) == 0.0
+        for _ in range(50):
+            inst = random_instance(rng, n_max=5, m_max=3)
+            config = random_config(rng, inst)
+            bids = random_bids(rng, inst)
+            out = clear(inst, config, bids)
+            eligible = bids.bids >= config.reserves
+            scores = bids.bids + config.boosts
+            assert out.winners.shape == (inst.m, max(inst.slots))
+            assert out.slots == inst.slots
+            for j in range(inst.m):
+                nwin = min(inst.slots[j], int(eligible[:, j].sum()))
+                filled = out.winners[j, :nwin]
+                assert np.all(filled >= 0) and np.all(eligible[filled, j])
+                assert np.all(np.diff(scores[filled, j]) <= 0)
+                assert np.all(out.winners[j, nwin:] == -1)
 
     def test_top_value_mask_tie_break(self):
         inst = one_auction([1.0], [2.0, 2.0])

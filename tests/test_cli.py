@@ -24,6 +24,9 @@ from auctionkit.dominance import LEMMA_KINDS
 from auctionkit.types import save_json
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden_clear"
+
+
 def read_tree(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -238,6 +241,42 @@ class TestClear:
         assert main(argv) == 2
 
 
+class TestGoldenClear:
+    """Hand-built market with 1, 2 and 3 slots per auction, an auction with
+    fewer eligible bidders than slots, and nonzero reserves and boosts.  The
+    expected outputs were recorded from the CLI and must not change."""
+
+    @pytest.mark.parametrize("fmt", ["vcg", "gsp", "fpa"])
+    @pytest.mark.parametrize("kind", ["json", "csv"])
+    def test_output_is_byte_identical(self, fmt, kind, capsys):
+        argv = ["clear", "--instance", str(GOLDEN / "instance.json"),
+                "--mechanism", str(GOLDEN / f"mechanism_{fmt}.json"),
+                "--bids", str(GOLDEN / "bids.json"), "--format", kind]
+        assert main(argv) == 0
+        expected = (GOLDEN / f"clear_{fmt}.{kind}").read_bytes().decode()
+        assert capsys.readouterr().out == expected
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("flag", ["--instance", "--mechanism", "--bids"])
+    @pytest.mark.parametrize("content", ['{"unrelated": 1}', "[1, 2]"])
+    def test_usage_error_on_one_line(self, flag, content, tmp_path, capsys):
+        paths = {
+            "--instance": GOLDEN / "instance.json",
+            "--mechanism": GOLDEN / "mechanism_vcg.json",
+            "--bids": GOLDEN / "bids.json",
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        paths[flag] = bad
+        argv = ["clear"] + [x for f, path in paths.items() for x in (f, str(path))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(bad) in err
+
+
 class TestRunExperiment:
     def write_config(self, tmp_path, **overrides) -> str:
         cfg = {
@@ -287,6 +326,14 @@ class TestRunExperiment:
         path.write_text(json.dumps({"generator": {}}))
         argv = ["run-experiment", "--config", str(path), "--out", str(tmp_path / "x")]
         assert main(argv) == 2
+
+    def test_unsamplable_signal_is_usage_error(self, tmp_path, capsys):
+        treatments = [{"kind": "baseline"}, {"kind": "reserve", "gamma": 0.5, "signal_sd": 1e9}]
+        argv = ["run-experiment", "--config", self.write_config(tmp_path, treatments=treatments),
+                "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "refusing" in err
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "exp.json"

@@ -1,6 +1,7 @@
 """Experiment harness: generator, signal sampling, lifts, persistence."""
 
 import filecmp
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,17 @@ from auctionkit.experiments import _truncated_gaussian
 
 
 SMALL = GeneratorSpec(n=6, m=40, s_max=3)
+
+
+class FixedDraws:
+    """Stands in for a Generator: hands out preset normal draws in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def normal(self, mean, sd, size):
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
 
 
 def small_report(tmp_path=None, runs=3, **kw):
@@ -114,6 +126,22 @@ class TestSignals:
         draws = _truncated_gaussian(rng, 0.65, 0.01, 0.3, 1.0, 10_000)
         assert draws.min() >= 0.3 and draws.max() <= 1.0
         assert abs(draws.mean() - 0.65) < 0.001
+
+    def test_truncated_gaussian_band_is_half_open(self):
+        # centred on the top edge, half the draws land at or above it
+        draws = _truncated_gaussian(np.random.default_rng(4), 1.0, 1e-3, 0.5, 1.0, 10_000)
+        assert draws.max() < 1.0
+        # a draw exactly at the top edge is rejected and redrawn
+        draws = _truncated_gaussian(FixedDraws([1.0, 0.75, 0.5]), 0.75, 0.1, 0.5, 1.0, 2)
+        assert draws.tolist() == [0.75, 0.5]
+
+    def test_truncated_gaussian_refuses_at_round_cap(self):
+        inst = generate_instance(SMALL, 1)
+        spec = TreatmentSpec(kind="reserve", gamma=0.5, signal_sd=1e9)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="refusing"):
+            sample_treatment_signals(inst, spec, 5)
+        assert time.perf_counter() - start < 5.0
 
     def test_baseline_zeros(self):
         inst = generate_instance(SMALL, 1)

@@ -136,6 +136,18 @@ class TestRoundTrips:
         save_json(out, path)
         assert load_json(Outcome, path) == out
 
+    def test_random_outcomes_round_trip(self):
+        rng = np.random.default_rng(5)
+        outs = []
+        for _ in range(50):
+            inst = random_instance(rng)
+            outs.append(clear(inst, random_config(rng, inst), random_bids(rng, inst)))
+        empty = ProblemInstance(2, 0, [], np.zeros((2, 0)), [])
+        outs.append(clear(empty, MechanismConfig(AuctionFormat.VCG, 2, 0), BidProfile(np.zeros((2, 0)))))
+        assert outs[-1].winners.shape == (0, 0)
+        for out in outs:
+            assert Outcome.from_dict(out.to_dict()) == out
+
     def test_bid_profile_round_trip(self, tmp_path):
         bids = BidProfile([[1.5, 0.0], [2.25, 3.0]])
         path = tmp_path / "bids.json"
