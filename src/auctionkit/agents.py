@@ -8,6 +8,14 @@ iteration it pulls log delta_i toward log(Wel_i / Rev_i), the point
 where the constraint binds.  Utility maximizers keep the truthful
 multiplier under VCG; under GSP and FPA they re-solve an exact uniform
 best response on a breakpoint-augmented grid each iteration.
+
+The best response evaluates the whole grid in one pass.  With the
+opponents' bids fixed, their eligibility, scores and clearing order are
+computed once; then, for a block of candidates at a time, the bidder's
+rank, win and price in every auction follow from array comparisons
+against those scores, using the clearing engine's pricing formulas.
+That is O(grid * n * m) array work in one pass, and the welfare and
+revenue it gives equal a full clear at each candidate bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .clearing import clear, revenue_per_bidder, welfare_per_bidder
+from .clearing import _check_shapes, _unit_price, clear, revenue_per_bidder, welfare_per_bidder
 from .types import (
     AgentState,
     AuctionFormat,
@@ -39,6 +47,9 @@ __all__ = [
     "step_multipliers",
     "uniform_bids",
 ]
+
+# Candidates per block of the best-response pass; bounds its (block, n, m) work arrays.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -281,34 +292,90 @@ def response_grid(
     where delta * v_{i,j} + z_{i,j} crosses an eligible opponent score or
     delta * v_{i,j} crosses the reserve, so a geometric ladder augmented
     with those breakpoints (plus a nudge just above each, and cell
-    midpoints) evaluates every achievable allocation.
+    midpoints) evaluates every achievable allocation.  The breakpoints of
+    all (auction, opponent) pairs come from one array pass, O(n * m).
     """
     lo, hi = dyn.min_multiplier, dyn.max_multiplier
     decades = math.log10(hi / lo)
     base = np.geomspace(lo, hi, int(round(decades * points_per_decade)) + 1)
-    breaks: list[float] = []
-    for j in range(instance.m):
-        v = instance.values[i, j]
-        if v <= 0.0:
-            continue
-        z = config.boosts[i, j]
-        r = config.reserves[i, j]
-        if r > 0.0:
-            breaks.append(r / v)
-        for o in range(instance.n):
-            if o == i or others_bids[o, j] < config.reserves[o, j]:
-                continue
-            cross = (others_bids[o, j] + config.boosts[o, j] - z) / v
-            if cross > 0.0:
-                breaks.append(cross)
-    pts = [1.0]
-    inside = sorted({b for b in breaks if lo <= b <= hi})
-    for b in inside:
-        pts.append(b)
-        pts.append(float(np.nextafter(b, np.inf)))
-    pts.extend((a + b) / 2.0 for a, b in zip(inside, inside[1:]))
-    grid = np.unique(np.concatenate([base, np.asarray(pts, dtype=np.float64)]))
+    bids = np.asarray(others_bids, dtype=np.float64)
+    v, z, r = instance.values[i], config.boosts[i], config.reserves[i]
+    live = v > 0.0
+    gated = live & (r > 0.0)
+    o, j = np.nonzero((np.arange(instance.n) != i)[:, None] & live & (bids >= config.reserves))
+    cross = (bids[o, j] + config.boosts[o, j] - z[j]) / v[j]
+    breaks = np.concatenate([r[gated] / v[gated], cross[cross > 0.0]])
+    inside = np.unique(breaks[(lo <= breaks) & (breaks <= hi)])
+    mids = (inside[:-1] + inside[1:]) / 2.0
+    grid = np.unique(np.concatenate([base, [1.0], inside, np.nextafter(inside, np.inf), mids]))
     return grid[(grid >= lo) & (grid <= hi)]
+
+
+def _own_outcomes(
+    instance: ProblemInstance,
+    config: MechanismConfig,
+    i: int,
+    others_bids: np.ndarray,
+    candidates: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bidder i's welfare and revenue at every candidate multiplier.
+
+    Equal, bit for bit, to clearing the market with i bidding d * v_i at
+    each candidate d: i's rank, eligibility and price follow `clear`'s
+    rules and arithmetic, welfare is summed auction by auction from 0 as
+    `welfare_per_bidder`'s bincount does, and revenue is the row sum of
+    an (candidates, m) payment block, as `payments.sum(axis=1)` is.
+    The inputs must have passed `clear`'s checks; a candidate whose bid
+    row is not finite and nonnegative raises as `clear` would.
+    """
+    n, m = instance.n, instance.m
+    pos = instance.pos_table  # (m, s_max + 1)
+    s_max = pos.shape[1] - 1
+    slots = np.asarray(instance.slots)
+    cols = np.arange(m)
+    opp = np.arange(n) != i
+    b = others_bids[opp]
+    masked = np.where(b >= config.reserves[opp], b + config.boosts[opp], -1.0)
+    # below[k, j]: score of the opponent ranked k in auction j, 0 past the last
+    order = np.argsort(-masked, axis=0, kind="stable")
+    ranked = np.maximum(np.take_along_axis(masked, order, axis=0), 0.0)
+    below = np.vstack([ranked, np.zeros((1, m))])
+    v, z, r = instance.values[i], config.boosts[i], config.reserves[i]
+
+    wel = np.empty(candidates.size)
+    rev = np.empty(candidates.size)
+    for start in range(0, candidates.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        bid = candidates[block, None] * v
+        bad = ~(np.isfinite(bid) & (bid >= 0.0)).all(axis=1)
+        if bad.any():
+            issues = BidProfile(bid[np.argmax(bad)][None]).issues
+            raise ValueError("invalid bids: " + "; ".join(issues))
+        eligible = bid >= r
+        score = np.where(eligible, bid + z, -1.0)
+        # i's rank: opponents scoring higher, and equal ones with a lower index
+        rank = (masked[:i, None] >= score).sum(axis=0, dtype=np.int32)
+        rank += (masked[i:, None] > score).sum(axis=0, dtype=np.int32)
+        win = eligible & (rank < slots)
+        k = np.minimum(rank, s_max)
+        weight = pos[cols, k]
+
+        gain = np.zeros((bid.shape[0], m + 1))
+        gain[:, 1:] = np.where(win, v * weight, 0.0)
+        wel[block] = np.cumsum(gain, axis=1)[:, -1]  # sequential, in auction order
+
+        if config.format is AuctionFormat.FPA:
+            price = bid * weight
+        elif config.format is AuctionFormat.GSP:
+            price = _unit_price(below[k, cols], z, r, bid) * weight
+        else:
+            price = np.zeros(bid.shape)
+            for u in range(1, s_max + 1):
+                # the rank-u bidder, opponent u - 1 when i ranks above it
+                t = _unit_price(below[u - 1], z, r, bid)
+                price += np.where(k < u, t * (pos[:, u - 1] - pos[:, u]), 0.0)
+        rev[block] = np.where(win, price, 0.0).sum(axis=1)
+    return wel, rev
 
 
 def best_response_uniform(
@@ -320,21 +387,32 @@ def best_response_uniform(
     grid: Union[np.ndarray, Sequence[float]],
 ) -> float:
     """Best multiplier on the grid: feasible (ROS-satisfying) candidates
-    beat infeasible ones, then higher objective, then smaller delta."""
-    candidates = np.sort(np.asarray(grid, dtype=np.float64))
+    beat infeasible ones, then higher objective, then smaller delta.
+
+    Every candidate is evaluated exactly, against the fixed rows of
+    `others_bids` (row i is ignored): its welfare and revenue equal those
+    of a full clear at that multiplier.  The evaluation is one array pass
+    over the grid, O(grid * n * m) work in blocks of `_BLOCK` candidates,
+    and the choice is one masked argmax.  An empty or non-1-D grid, a
+    misshaped bid matrix, an invalid instance or config, and a candidate
+    whose bids would be negative or not finite raise `ValueError`.
+    """
+    candidates = np.asarray(grid, dtype=np.float64)
+    if candidates.ndim != 1:
+        raise ValueError("multiplier grid must be one-dimensional")
+    candidates = np.sort(candidates)
     if candidates.size == 0:
         raise ValueError("empty multiplier grid")
     bids = np.array(others_bids, dtype=np.float64)
     if bids.shape != (instance.n, instance.m):
         raise ValueError("others_bids must be a full n x m bid matrix")
-    best: Optional[tuple[bool, float, float]] = None
-    for d in candidates:
-        bids[i, :] = d * instance.values[i, :]
-        out = clear(instance, config, BidProfile(bids))
-        w = float(welfare_per_bidder(instance, out)[i])
-        r = float(revenue_per_bidder(out)[i])
-        key = (ros_satisfied(w, r), objective(lam, w, r))
-        if best is None or key > (best[0], best[1]):
-            best = (key[0], key[1], float(d))
-    assert best is not None
-    return best[2]
+    i = range(instance.n)[i]  # negative i counts from the end, as in array indexing
+    # the checks `clear` makes, on the bids of the first candidate
+    bids[i] = candidates[0] * instance.values[i]
+    _check_shapes(instance, config, BidProfile(bids))
+    wel, rev = _own_outcomes(instance, config, i, bids, candidates)
+    pool = np.flatnonzero(ros_satisfied(wel, rev))
+    if pool.size == 0:
+        pool = np.arange(candidates.size)
+    # argmax takes the first, smallest-delta, of equal objectives
+    return float(candidates[pool[np.argmax(objective(lam, wel[pool], rev[pool]))]])

@@ -33,7 +33,6 @@ from auctionkit import (
     revenue,
     run_experiment,
     run_lemma_check,
-    treatment_bound,
     undominated_set,
     welfare,
 )
@@ -41,6 +40,7 @@ from auctionkit.agents import AgentState, step_multipliers
 from auctionkit.bounds import tight_instance
 from auctionkit.cli import _lemma_setting
 from auctionkit.dominance import DEFAULT_MULTIPLIERS
+from auctionkit.experiments import treatment_bound
 
 GAMMAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from auctionkit import agents
 from auctionkit import (
     AgentState,
     AuctionFormat,
@@ -18,10 +19,12 @@ from auctionkit import (
     clear,
     objective,
     response_grid,
+    revenue_per_bidder,
     ros_satisfied,
     run_dynamics,
     step_multipliers,
     uniform_bids,
+    welfare_per_bidder,
 )
 from conftest import random_bids, random_config, random_instance
 
@@ -313,3 +316,240 @@ class TestBestResponse:
         assert np.all(np.diff(grid) > 0)
         dyn = DynamicsConfig()
         assert grid[0] >= dyn.min_multiplier and grid[-1] <= dyn.max_multiplier
+
+
+# -- reference implementations the vectorized code replaced -----------------
+
+
+def reclear_outcomes(instance, config, i, others_bids, grid):
+    """Bidder i's (welfare, revenue) at each sorted grid point, by clearing
+    the whole market once per point."""
+    candidates = np.sort(np.asarray(grid, dtype=np.float64))
+    if candidates.size == 0:
+        raise ValueError("empty multiplier grid")
+    bids = np.array(others_bids, dtype=np.float64)
+    if bids.shape != (instance.n, instance.m):
+        raise ValueError("others_bids must be a full n x m bid matrix")
+    wel, rev = [], []
+    for d in candidates:
+        bids[i, :] = d * instance.values[i, :]
+        out = clear(instance, config, BidProfile(bids))
+        wel.append(float(welfare_per_bidder(instance, out)[i]))
+        rev.append(float(revenue_per_bidder(out)[i]))
+    return candidates, np.array(wel), np.array(rev)
+
+
+def reference_choice(candidates, wel, rev, lam):
+    """The per-candidate selection rule: feasible first, then objective,
+    then the first (smallest) delta."""
+    best = None
+    for d, w, r in zip(candidates, wel.tolist(), rev.tolist()):
+        key = (ros_satisfied(w, r), objective(lam, w, r))
+        if best is None or key > (best[0], best[1]):
+            best = (key[0], key[1], float(d))
+    return best[2]
+
+
+def reference_grid(instance, config, i, others_bids, dyn, points_per_decade=12):
+    """The per-(auction, opponent) loop that built the response grid."""
+    lo, hi = dyn.min_multiplier, dyn.max_multiplier
+    decades = math.log10(hi / lo)
+    base = np.geomspace(lo, hi, int(round(decades * points_per_decade)) + 1)
+    breaks = []
+    for j in range(instance.m):
+        v = instance.values[i, j]
+        if v <= 0.0:
+            continue
+        z = config.boosts[i, j]
+        r = config.reserves[i, j]
+        if r > 0.0:
+            breaks.append(r / v)
+        for o in range(instance.n):
+            if o == i or others_bids[o, j] < config.reserves[o, j]:
+                continue
+            cross = (others_bids[o, j] + config.boosts[o, j] - z) / v
+            if cross > 0.0:
+                breaks.append(cross)
+    pts = [1.0]
+    inside = sorted({b for b in breaks if lo <= b <= hi})
+    for b in inside:
+        pts.append(b)
+        pts.append(float(np.nextafter(b, np.inf)))
+    pts.extend((a + b) / 2.0 for a, b in zip(inside, inside[1:]))
+    grid = np.unique(np.concatenate([base, np.asarray(pts, dtype=np.float64)]))
+    return grid[(grid >= lo) & (grid <= hi)]
+
+
+def differential_cases(seed, count):
+    """Random markets under every format, with reserves and boosts.
+
+    Cases cycle through every (format, tied, wide) combination.  A tied
+    case has small integer values, reserves and boosts and uniform
+    opponent bids, which make exact score ties between bidder i and its
+    opponents.  A wide case has m >= 9, which reaches numpy's pairwise
+    row sums.
+    """
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        fmt, tied, wide = list(AuctionFormat)[t % 3], (t // 3) % 2, (t // 6) % 2
+        inst = random_instance(rng, n_max=6, m_max=24 if wide else 4, s_max=4)
+        while wide and inst.m < 9:
+            inst = random_instance(rng, n_max=6, m_max=24, s_max=4)
+        if tied:
+            values = rng.integers(0, 4, size=(inst.n, inst.m)).astype(float)
+            inst = ProblemInstance(inst.n, inst.m, inst.slots, values, inst.pos)
+            reserves = rng.integers(0, 3, size=(inst.n, inst.m)) * 0.5
+            boosts = rng.integers(0, 2, size=(inst.n, inst.m)) * 0.5
+            config = MechanismConfig(fmt, inst.n, inst.m, reserves, boosts)
+            others = uniform_bids(inst, np.ones(inst.n)).bids.copy()
+        else:
+            base = random_config(rng, inst)
+            config = MechanismConfig(fmt, inst.n, inst.m, base.reserves, base.boosts)
+            others = random_bids(rng, inst).bids.copy()
+        yield inst, config, int(rng.integers(inst.n)), others
+
+
+def paper_scale_market(fmt):
+    """One 20 x 1000 market with lognormal values (30% zero), 1-4 slots,
+    reserves and boosts, and opponents bidding 0.6-1.0 of value."""
+    rng = np.random.default_rng(3)
+    n, m = 20, 1000
+    values = rng.lognormal(0.0, 0.5, size=n)[:, None] * rng.lognormal(0.0, 1.0, size=(n, m))
+    values[rng.random((n, m)) < 0.3] = 0.0
+    slots = rng.integers(1, 5, size=m)
+    inst = ProblemInstance(n, m, slots, values, [0.5 ** np.arange(s, dtype=np.float64) for s in slots])
+    config = MechanismConfig(
+        fmt, n, m,
+        values * rng.uniform(0.2, 0.6, size=(n, m)),
+        values * rng.uniform(0.0, 0.3, size=(n, m)),
+    )
+    return inst, config, values * rng.uniform(0.6, 1.0, size=n)[:, None]
+
+
+class TestBestResponseMatchesReclearing:
+    def test_outcomes_and_choices_equal_on_random_markets(self):
+        dyn = DynamicsConfig()
+        for inst, config, i, others in differential_cases(31, 90):
+            grid = response_grid(inst, config, i, others, dyn)
+            candidates, wel, rev = reclear_outcomes(inst, config, i, others, grid)
+            got_wel, got_rev = agents._own_outcomes(inst, config, i, others, candidates)
+            assert np.array_equal(got_wel, wel) and np.array_equal(got_rev, rev)
+            for lam in (0.0, 0.5, 1.0):
+                star = best_response_uniform(inst, config, i, others, lam, grid)
+                assert star == reference_choice(candidates, wel, rev, lam)
+
+    def test_no_feasible_point_takes_smallest_best(self):
+        # every point wins and pays the 1.5 reserve for a value of 1
+        inst, config = single(1.0, reserve=1.5, fmt=AuctionFormat.GSP)
+        others = np.zeros((1, 1))
+        grid = [4.0, 2.0, 3.0, 2.5]
+        candidates, wel, rev = reclear_outcomes(inst, config, 0, others, grid)
+        assert not any(ros_satisfied(w, r) for w, r in zip(wel, rev))
+        for lam in (0.0, 0.5, 1.0):
+            star = best_response_uniform(inst, config, 0, others, lam, grid)
+            assert star == reference_choice(candidates, wel, rev, lam) == 2.0
+
+    def test_unsorted_grid_with_duplicates(self):
+        inst, config, i, others = next(differential_cases(32, 1))
+        grid = response_grid(inst, config, i, others, DynamicsConfig())
+        shuffled = np.random.default_rng(33).permutation(np.concatenate([grid, grid[::3]]))
+        candidates, wel, rev = reclear_outcomes(inst, config, i, others, shuffled)
+        for lam in (0.0, 0.5, 1.0):
+            assert best_response_uniform(inst, config, i, others, lam, shuffled) == reference_choice(
+                candidates, wel, rev, lam
+            )
+
+    def test_negative_index_counts_from_the_end(self):
+        # i = -1 is bidder 1.  At 2.0 it also wins auction 1 for 1.5, and
+        # ROS holds only if auction 0, won at every point, stays free
+        inst = ProblemInstance(2, 2, [1, 1], [[1.0, 1.0], [1.0, 1.0]], [[1.0], [1.0]])
+        config = MechanismConfig(AuctionFormat.GSP, 2, 2)
+        others = np.array([[0.0, 1.5], [0.0, 0.0]])
+        candidates, wel, rev = reclear_outcomes(inst, config, -1, others, [0.8, 2.0])
+        assert wel.tolist() == [1.0, 2.0] and rev.tolist() == [0.0, 1.5]
+        for lam in (0.0, 0.5, 1.0):
+            star = best_response_uniform(inst, config, -1, others, lam, candidates)
+            assert star == reference_choice(candidates, wel, rev, lam)
+        assert best_response_uniform(inst, config, -1, others, 0.0, candidates) == 2.0
+
+    @pytest.mark.parametrize("fmt", list(AuctionFormat))
+    def test_sampled_grid_on_paper_scale_market(self, fmt):
+        inst, config, others = paper_scale_market(fmt)
+        grid = response_grid(inst, config, 5, others, DynamicsConfig())
+        sample = grid[np.linspace(0, grid.size - 1, 41).astype(int)]
+        candidates, wel, rev = reclear_outcomes(inst, config, 5, others, sample)
+        got_wel, got_rev = agents._own_outcomes(inst, config, 5, others, candidates)
+        assert np.array_equal(got_wel, wel) and np.array_equal(got_rev, rev)
+        for lam in (0.0, 0.5, 1.0):
+            star = best_response_uniform(inst, config, 5, others, lam, sample)
+            assert star == reference_choice(candidates, wel, rev, lam)
+
+    @pytest.mark.parametrize(
+        "grid, others_shape",
+        [([], None), ([0.5, 1.0], (2, 2)), ([0.5, np.nan, 1.0], None), ([0.5, -0.1, 1.0], None)],
+        ids=["empty-grid", "bids-shape", "nan-point", "negative-point"],
+    )
+    def test_errors_match_reclearing(self, grid, others_shape):
+        inst = ProblemInstance(2, 1, [1], [[1.0], [1.0]], [[1.0]])
+        config = MechanismConfig(AuctionFormat.GSP, 2, 1)
+        others = np.zeros(others_shape) if others_shape else np.array([[0.0], [0.8]])
+        with pytest.raises(ValueError) as expected:
+            reclear_outcomes(inst, config, 0, others, grid)
+        with pytest.raises(ValueError) as got:
+            best_response_uniform(inst, config, 0, others, 1.0, grid)
+        assert str(got.value) == str(expected.value)
+
+    def test_invalid_opponent_bids_rejected(self):
+        inst = ProblemInstance(2, 1, [1], [[1.0], [1.0]], [[1.0]])
+        config = MechanismConfig(AuctionFormat.FPA, 2, 1)
+        for bad in (-1.0, np.inf):
+            with pytest.raises(ValueError, match="invalid bids"):
+                best_response_uniform(inst, config, 0, np.array([[0.0], [bad]]), 1.0, [1.0])
+
+    def test_block_boundaries_do_not_change_results(self, monkeypatch):
+        cases = list(differential_cases(34, 12))
+        dyn = DynamicsConfig()
+
+        def run():
+            out = []
+            for inst, config, i, others in cases:
+                grid = response_grid(inst, config, i, others, dyn)
+                out.append(agents._own_outcomes(inst, config, i, others, grid))
+                out.append(best_response_uniform(inst, config, i, others, 0.5, grid))
+            return out
+
+        unpatched = run()
+        sizes = {len(response_grid(inst, c, i, o, dyn)) for inst, c, i, o in cases}
+        odd = next(b for b in range(7, 100) if all(size % b for size in sizes))
+        for block in (1, odd):
+            monkeypatch.setattr(agents, "_BLOCK", block)
+            for a, b in zip(run(), unpatched):
+                if isinstance(a, tuple):
+                    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+                else:
+                    assert a == b
+
+
+class TestResponseGridMatchesLoop:
+    def test_random_markets(self):
+        rng = np.random.default_rng(35)
+        dyn = DynamicsConfig()
+        for inst, config, i, others in differential_cases(36, 60):
+            assert np.array_equal(
+                response_grid(inst, config, i, others, dyn),
+                reference_grid(inst, config, i, others, dyn),
+            )
+            ppd = int(rng.integers(1, 20))
+            assert np.array_equal(
+                response_grid(inst, config, i, others, dyn, ppd),
+                reference_grid(inst, config, i, others, dyn, ppd),
+            )
+
+    def test_paper_scale_market(self):
+        inst, config, others = paper_scale_market(AuctionFormat.GSP)
+        dyn = DynamicsConfig()
+        for i in (0, 5, 19):
+            assert np.array_equal(
+                response_grid(inst, config, i, others, dyn),
+                reference_grid(inst, config, i, others, dyn),
+            )

@@ -14,10 +14,8 @@ from auctionkit import (
     generate_instance,
     lemma1_bounds,
     run_experiment,
-    sample_treatment_signals,
-    treatment_bound,
 )
-from auctionkit.experiments import _truncated_gaussian
+from auctionkit.experiments import _truncated_gaussian, sample_treatment_signals, treatment_bound
 
 
 SMALL = GeneratorSpec(n=6, m=40, s_max=3)

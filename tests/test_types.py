@@ -182,3 +182,18 @@ class TestOutcomeAccessors:
         config = MechanismConfig(AuctionFormat.GSP, 3, 2)
         out = clear(inst, config, BidProfile(inst.values))
         assert out.slot_of(2, 1) is None
+
+
+class TestPublicSurface:
+    def test_all_lists_exactly_the_public_names(self):
+        import types
+
+        import auctionkit
+
+        public = {
+            name
+            for name, obj in vars(auctionkit).items()
+            if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+        }
+        assert set(auctionkit.__all__) == public
+        assert len(auctionkit.__all__) == len(public)
