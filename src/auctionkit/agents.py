@@ -34,6 +34,7 @@ from .types import (
     BidProfile,
     MechanismConfig,
     ProblemInstance,
+    _is_int,
 )
 
 __all__ = [
@@ -73,6 +74,8 @@ class DynamicsConfig:
             raise ValueError("convergence_tol must be positive")
         if not 0.0 < self.min_multiplier < self.max_multiplier:
             raise ValueError("need 0 < min_multiplier < max_multiplier")
+        if not (_is_int(self.pretrain_iters) and _is_int(self.treatment_iters)):
+            raise ValueError("iteration counts must be integers")
         if self.pretrain_iters < 0 or self.treatment_iters < 0:
             raise ValueError("iteration counts must be nonnegative")
 

@@ -67,7 +67,8 @@ def clear(instance: ProblemInstance, config: MechanismConfig, bids: BidProfile) 
     score = np.vstack([ranked, np.zeros((1, m))])[: s_max + 1].T
     top = order[:s_max].T  # (m, s_max): the bidder ranked k in auction j
     cols = np.arange(m)[:, None]
-    filled = (np.arange(s_max) < np.asarray(instance.slots)[:, None]) & eligible[top, cols]
+    slots = instance.slot_array
+    filled = (np.arange(s_max) < slots[:, None]) & eligible[top, cols]
 
     bid = b[top, cols]
     z = config.boosts[top, cols]
@@ -87,7 +88,7 @@ def clear(instance: ProblemInstance, config: MechanismConfig, bids: BidProfile) 
     js, ks = np.nonzero(filled)
     payments = np.zeros((n, m))
     payments[top[js, ks], js] = price[js, ks]
-    return Outcome(np.where(filled, top, -1), payments, instance.slots)
+    return Outcome(np.where(filled, top, -1), payments, slots)
 
 
 def opt_welfare(instance: ProblemInstance) -> float:

@@ -36,6 +36,8 @@ from .types import (
     ProblemInstance,
     SignalConfig,
     SignalKind,
+    _is_int,
+    _parse_json_file,
     load_json,
 )
 
@@ -278,36 +280,47 @@ def _cmd_tight_instances(args: argparse.Namespace) -> int:
 # -- run-experiment -----------------------------------------------------
 
 
-def _parse_experiment_config(path: str) -> dict:
-    with open(path) as fh:
-        raw = json.load(fh)
+def _experiment_from_dict(raw: dict) -> dict:
     known = {"generator", "treatments", "dynamics", "runs", "master_seed"}
     extra = set(raw) - known
     if extra:
         raise ValueError(f"unknown experiment config keys: {sorted(extra)}")
     if "generator" not in raw or "treatments" not in raw:
         raise ValueError("experiment config needs 'generator' and 'treatments'")
+    generator, treatments = raw["generator"], raw["treatments"]
+    dynamics = raw.get("dynamics", {})
+    if not isinstance(generator, dict) or not isinstance(dynamics, dict):
+        raise ValueError("'generator' and 'dynamics' must be JSON objects")
+    if not isinstance(treatments, list) or not all(isinstance(t, dict) for t in treatments):
+        raise ValueError("'treatments' must be a list of JSON objects")
+    runs, master_seed = raw.get("runs", 10), raw.get("master_seed", 0)
+    if not (_is_int(runs) and _is_int(master_seed)):
+        raise ValueError("'runs' and 'master_seed' must be integers")
     return {
-        "generator": GeneratorSpec.from_dict(raw["generator"]),
-        "treatments": [TreatmentSpec.from_dict(d) for d in raw["treatments"]],
-        "dynamics": DynamicsConfig(**raw.get("dynamics", {})),
-        "runs": int(raw.get("runs", 10)),
-        "master_seed": int(raw.get("master_seed", 0)),
+        "generator": GeneratorSpec.from_dict(generator),
+        "treatments": [TreatmentSpec.from_dict(d) for d in treatments],
+        "dynamics": DynamicsConfig(**dynamics),
+        "runs": runs,
+        "master_seed": master_seed,
     }
 
 
 def _cmd_run_experiment(args: argparse.Namespace) -> int:
-    exp = _parse_experiment_config(args.config)
+    exp = _parse_json_file(args.config, _experiment_from_dict)
     out = Path(args.out)
-    report = run_experiment(
-        exp["generator"],
-        exp["treatments"],
-        dyn=exp["dynamics"],
-        runs=exp["runs"],
-        master_seed=exp["master_seed"],
-        jobs=args.jobs,
-        out_dir=out,
-    )
+    try:
+        report = run_experiment(
+            exp["generator"],
+            exp["treatments"],
+            dyn=exp["dynamics"],
+            runs=exp["runs"],
+            master_seed=exp["master_seed"],
+            jobs=args.jobs,
+            out_dir=out,
+        )
+    except (RuntimeError, ValueError) as exc:
+        # a config the run refuses, e.g. one whose instances have no gap to measure
+        raise ValueError(f"{args.config}: {exc}") from exc
     resolved = {
         "generator": exp["generator"].to_dict(),
         "treatments": [t.to_dict() for t in exp["treatments"]],
@@ -327,6 +340,16 @@ def _cmd_run_experiment(args: argparse.Namespace) -> int:
 
 
 # -- parser -------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     out_flag(p)
     p.add_argument("--corollary", type=int, required=True, choices=sorted(COROLLARIES))
     p.add_argument("--gamma", type=float, required=True, help="signal quality in [0, 1]")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_verify_bounds)
@@ -373,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     out_flag(p)
     p.add_argument("--lemma", required=True, choices=LEMMA_KINDS)
     p.add_argument("--gamma", type=float, default=0.5, help="reserve level as a fraction of value")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check_dominance)
 

@@ -46,6 +46,9 @@ MAX_OPPONENT_PROFILES = 10**6
 MAX_CANDIDATES = 4096
 # workspace guard for the (candidates x profiles) payoff tensors
 _MAX_ELEMENTS = 5 * 10**7
+# elements per block of the undominated mask's pairwise comparison; the
+# blocks are temporaries, and larger ones raise peak memory
+_MASK_CHUNK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -367,16 +370,21 @@ class UndominatedResult:
 
 
 def _undominated_mask(feas: np.ndarray, obj: np.ndarray) -> np.ndarray:
-    """feas/obj are (A, P); candidate a survives unless some b dominates it."""
-    A = feas.shape[0]
-    alive = np.ones(A, dtype=bool)
-    for a in range(A):
-        at_least = ~feas[a][None, :] | (feas & (obj >= obj[a][None, :]))
-        strict = (~feas[a][None, :] & feas) | (feas[a][None, :] & feas & (obj > obj[a][None, :]))
-        dominated_by = at_least.all(axis=1) & strict.any(axis=1)
-        if dominated_by.any():
-            alive[a] = False
-    return alive
+    """feas/obj are (A, P); candidate a survives unless some b dominates it.
+
+    With u = obj where feasible and -inf where not, b dominates a exactly
+    when u_b >= u_a in every profile and u_a >= u_b fails in some profile:
+    the Pareto order on the rows of u.  obj must be finite.  ge[a, b]
+    ("u_b >= u_a everywhere") is filled a block of rows at a time, each
+    block's (rows, A, P) comparison kept within _MASK_CHUNK_ELEMENTS.
+    """
+    A, P = feas.shape
+    u = np.where(feas, obj, -np.inf)
+    ge = np.empty((A, A), dtype=bool)
+    step = max(1, _MASK_CHUNK_ELEMENTS // max(1, A * P))
+    for lo in range(0, A, step):
+        ge[lo : lo + step] = (u[None, :, :] >= u[lo : lo + step, None, :]).all(axis=2)
+    return ~(ge & ~ge.T).any(axis=1)
 
 
 def evaluate_profiles(

@@ -27,7 +27,7 @@ import numpy as np
 from .agents import DynamicsConfig, Trajectory, run_dynamics
 from .bounds import LemmaParams, lemma1_bounds
 from .clearing import opt_welfare
-from .types import AgentState, AuctionFormat, MechanismConfig, ProblemInstance
+from .types import AgentState, AuctionFormat, MechanismConfig, ProblemInstance, _is_int
 
 __all__ = [
     "GeneratorSpec",
@@ -138,6 +138,8 @@ class GeneratorSpec:
     pos_decay: float = 0.5
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.n) and _is_int(self.m) and _is_int(self.s_max)):
+            raise ValueError("n, m and s_max must be integers")
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be at least 1")
         if not 1 <= self.s_max <= self.n:
@@ -377,16 +379,22 @@ def run_experiment(
 ) -> LiftReport:
     """Pretrain each run once, replay every treatment from its snapshot,
     aggregate lifts.  Parallel across runs and (run, treatment) pairs;
-    output is independent of the job count."""
+    output is independent of the job count.
+
+    Raises ValueError, before any pretraining, for no runs, no treatments
+    or repeated treatment labels, and RuntimeError when a run draws no
+    instance with a positive optimality gap in MAX_SEED_ATTEMPTS seeds."""
     if dyn is None:
         dyn = DynamicsConfig()
     if runs < 1:
         raise ValueError("need at least one run")
+    if not treatments:
+        raise ValueError("need at least one treatment")
     labels = [t.label for t in treatments]
     if len(set(labels)) != len(labels):
         raise ValueError("treatment labels must be unique")
     workers = jobs if jobs is not None else (os.cpu_count() or 1)
-    workers = max(1, min(workers, runs * max(1, len(treatments))))
+    workers = max(1, min(workers, runs * len(treatments)))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pretrained = list(

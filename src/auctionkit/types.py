@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -69,7 +70,16 @@ class ProblemInstance:
 
     @cached_property
     def issues(self) -> tuple[str, ...]:
-        """Itemized invariant violations; empty means the instance is valid."""
+        """Itemized invariant violations; empty means the instance is valid.
+
+        The per-auction checks run as array passes over all auctions at
+        once: slot counts against 1 and n, then, on the concatenated pos
+        vectors, each auction's length, finiteness, positivity and whether
+        it rises within its own segment.  Messages are then written only
+        for the flagged auctions, in auction order.  An auction with a slot
+        count below 1 gets that message alone, and of the three pos value
+        checks only the first that fails is reported.
+        """
         out: list[str] = []
         if self.n < 1:
             out.append("n must be at least 1")
@@ -83,21 +93,37 @@ class ProblemInstance:
             out.append("values must be finite")
         if np.any(self.values < 0):
             out.append("values must be nonnegative")
-        for j, s in enumerate(self.slots):
-            if s < 1:
+
+        # object dtype keeps slot counts past the int64 range comparable
+        counts = np.array(self.slots)
+        few, many = counts < 1, counts > self.n
+        k = min(len(self.slots), len(self.pos))  # auctions with both a count and a pos vector
+        lengths = np.fromiter(map(len, self.pos[:k]), dtype=np.int64, count=k)
+        bad_len = lengths != counts[:k]
+        flat = np.concatenate([np.zeros(0), *self.pos[:k]])
+        seg = np.repeat(np.arange(k), lengths)  # auction of each entry of flat
+        nonfinite = np.bincount(seg[~np.isfinite(flat)], minlength=k) > 0
+        nonpositive = np.bincount(seg[flat <= 0], minlength=k) > 0
+        # only read for finite, positive segments, where a > b is diff > 0
+        up = (flat[1:] > flat[:-1]) & (seg[1:] == seg[:-1])
+        rising = np.bincount(seg[1:][up], minlength=k) > 0
+        flagged = few | many
+        flagged[:k] |= bad_len | nonfinite | nonpositive | rising
+        for j in np.flatnonzero(flagged).tolist():
+            s = self.slots[j]
+            if few[j]:
                 out.append(f"auction {j}: slot count must be at least 1")
                 continue
-            if s > self.n:
+            if many[j]:
                 out.append(f"auction {j}: more slots than bidders ({s} > {self.n})")
-            if j < len(self.pos):
-                p = self.pos[j]
-                if len(p) != s:
-                    out.append(f"auction {j}: pos has length {len(p)}, expected {s}")
-                if not np.all(np.isfinite(p)):
+            if j < k:
+                if bad_len[j]:
+                    out.append(f"auction {j}: pos has length {lengths[j]}, expected {s}")
+                if nonfinite[j]:
                     out.append(f"auction {j}: pos must be finite")
-                elif np.any(p <= 0):
+                elif nonpositive[j]:
                     out.append(f"auction {j}: pos must be strictly positive")
-                elif np.any(np.diff(p) > 0):
+                elif rising[j]:
                     out.append(f"auction {j}: pos not nonincreasing")
         return tuple(out)
 
@@ -106,10 +132,17 @@ class ProblemInstance:
             raise ValueError("invalid instance: " + "; ".join(self.issues))
 
     @cached_property
+    def slot_array(self) -> np.ndarray:
+        """Read-only int64 copy of `slots`, cached; the instance must be valid."""
+        self.require_valid()
+        arr = np.array(self.slots, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
     def pos_table(self) -> np.ndarray:
         """Read-only (m, s_max + 1) click weights, 0 past each auction's last slot."""
-        self.require_valid()
-        slots = np.asarray(self.slots, dtype=np.int64)
+        slots = self.slot_array
         table = np.zeros((self.m, int(slots.max(initial=0)) + 1))
         if self.m:
             table[np.arange(table.shape[1]) < slots[:, None]] = np.concatenate(self.pos)
@@ -283,12 +316,16 @@ class Outcome:
     slots: tuple[int, ...]
 
     def __init__(self, winners: Any, payments: Any, slots: Sequence[int]):
-        slots = tuple(int(s) for s in slots)
+        counts = np.asarray(slots)
+        if counts.ndim != 1 or counts.dtype.kind not in "iu":
+            # anything but a flat integer array converts entry by entry, as int() does
+            counts = np.array([int(s) for s in slots], dtype=np.int64)
+        slots = tuple(counts.tolist())
         w = np.array(winners, dtype=np.int64, order="C")
-        s_max = max(slots, default=0)
+        s_max = int(counts.max()) if counts.size else 0
         if w.shape != (len(slots), s_max):
             raise ValueError(f"winners must have shape ({len(slots)}, {s_max}), got {w.shape}")
-        if np.any(w[np.arange(s_max) >= np.array(slots)[:, None]] != -1):
+        if np.any(w[np.arange(s_max) >= counts[:, None]] != -1):
             raise ValueError("winners past an auction's slot count must be -1")
         w.setflags(write=False)
         pay = np.array(payments, dtype=np.float64, order="C")
@@ -430,13 +467,25 @@ def save_json(obj: Any, path: str) -> None:
 def load_json(cls: type, path: str) -> Any:
     """Read one value type from a JSON file; a malformed file raises a
     one-line ValueError naming the file."""
+    return _parse_json_file(path, cls.from_dict)
+
+
+def _parse_json_file(path: str, parse: Callable[[dict], Any]) -> Any:
+    """parse(d) for the JSON object d in a file.  A top level that is not
+    an object, and the KeyError, IndexError, OverflowError, TypeError or
+    ValueError parse raises, become one-line ValueErrors naming the file."""
     with open(path) as fh:
         d = json.load(fh)
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(d).__name__}")
     try:
-        return cls.from_dict(d)
+        return parse(d)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _is_int(x: Any) -> bool:
+    """True for Python and numpy integers, False for bools."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)

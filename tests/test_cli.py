@@ -5,12 +5,18 @@ exactly as a shell would see it: 0 success, 1 verification FAIL, 2
 usage error.
 """
 
+import copy
+import dataclasses
 import json
 import logging
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from auctionkit import (
     AuctionFormat,
@@ -19,8 +25,10 @@ from auctionkit import (
     ProblemInstance,
     clear,
 )
+from auctionkit.agents import DynamicsConfig
 from auctionkit.cli import TIGHT_KINDS, main
 from auctionkit.dominance import LEMMA_KINDS
+from auctionkit.experiments import GeneratorSpec, TreatmentSpec
 from auctionkit.types import save_json
 
 
@@ -74,6 +82,17 @@ class TestUsageErrors:
         # corollary 2's boost scale diverges at gamma = 1
         assert main(["verify-bounds", "--corollary", "2", "--gamma", "1.0", "--trials", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["verify-bounds", "--corollary", "1", "--gamma", "0.5"],
+        ["check-dominance", "--lemma", "fpa"],
+    ])
+    @pytest.mark.parametrize("trials", ["0", "-3", "x"])
+    def test_trials_below_one_rejected_at_parse_time(self, command, trials, capsys):
+        assert main(command + ["--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in captured.err
 
     def test_missing_input_file(self, cleared_files):
         _, _, _, paths = cleared_files
@@ -335,11 +354,97 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "refusing" in err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"generator": {"n": "x"}},
+            {"treatments": [{"gamma": 0.5}]},
+            {"dynamics": {"pretrain_iters": 2, "unknown": 1}},
+            {"dynamics": {"pretrain_iters": 1.5}},
+            {"generator": {"n": 5.5, "m": 30, "s_max": 2}},
+            {"treatments": "baseline"},
+            {"generator": [5, 30]},
+            {"runs": 2.5},
+            {"runs": 1e400},
+            {"treatments": []},
+            # one bidder wins everything, so no seed gives a gap to measure
+            {"generator": {"n": 1, "m": 2, "s_max": 1, "zero_prob": 0.0}, "runs": 1},
+        ],
+    )
+    def test_malformed_config_names_file_on_one_line(self, overrides, tmp_path, capsys):
+        path = self.write_config(tmp_path, **overrides)
+        argv = ["run-experiment", "--config", path, "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "x").exists()
+
+    def test_top_level_list(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text("[1, 2]")
+        argv = ["run-experiment", "--config", str(path), "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: expected a JSON object, got list\n"
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text("{not json")
         argv = ["run-experiment", "--config", str(path), "--out", str(tmp_path / "x")]
         assert main(argv) == 2
+
+
+SMALL_EXPERIMENT = {
+    "generator": {"n": 3, "m": 4, "s_max": 2},
+    "treatments": [{"kind": "baseline"}, {"kind": "boost_reserve", "gamma": 0.5}],
+    "dynamics": {"pretrain_iters": 2, "treatment_iters": 2},
+    "runs": 1,
+    "master_seed": 3,
+}
+
+# every place in an experiment config a value can go; () is the whole file
+CONFIG_KEYS = (
+    [(), ("generator",), ("treatments",), ("treatments", 1), ("dynamics",),
+     ("runs",), ("master_seed",)]
+    + [("generator", k) for k in GeneratorSpec().to_dict()]
+    + [("treatments", 1, k) for k in TreatmentSpec("baseline").to_dict()]
+    + [("dynamics", f.name) for f in dataclasses.fields(DynamicsConfig)]
+)
+
+# small integers keep every valid draw to a few tiny runs
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.floats(-5.0, 5.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e300])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+class TestExperimentConfigFuzz:
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(CONFIG_KEYS), value=json_values)
+    def test_wrong_value_exits_zero_or_two_on_one_line(self, key, value, capsys):
+        cfg = copy.deepcopy(SMALL_EXPERIMENT)
+        if key:
+            target = cfg
+            for part in key[:-1]:
+                target = target[part]
+            target[key[-1]] = value
+        else:
+            cfg = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.json"
+            path.write_text(json.dumps(cfg))
+            code = main(["run-experiment", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.count("\n") == 1 and err.startswith("error: "), err
+            assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -25,7 +25,8 @@ from auctionkit import (
     verify_bid_lower_bounds,
     welfare_per_bidder,
 )
-from auctionkit.dominance import DEFAULT_MULTIPLIERS, _payoff_tensors
+from auctionkit import dominance
+from auctionkit.dominance import DEFAULT_MULTIPLIERS, _payoff_tensors, _undominated_mask
 
 from conftest import random_config, random_instance
 
@@ -284,6 +285,87 @@ class TestUndominatedSet:
             undominated_set(inst, cfg, [0.0, 0.0], grid, mode="uniform")
         with pytest.raises(ValueError, match="mode"):
             undominated_set(inst, cfg, [0.0, 0.0], grid, mode="exotic")
+
+
+def reference_mask(feas, obj):
+    """The per-candidate loop `_undominated_mask` replaced; the reference
+    of the differential tests below."""
+    A = feas.shape[0]
+    alive = np.ones(A, dtype=bool)
+    for a in range(A):
+        at_least = ~feas[a][None, :] | (feas & (obj >= obj[a][None, :]))
+        strict = (~feas[a][None, :] & feas) | (feas[a][None, :] & feas & (obj > obj[a][None, :]))
+        dominated_by = at_least.all(axis=1) & strict.any(axis=1)
+        if dominated_by.any():
+            alive[a] = False
+    return alive
+
+
+def random_payoffs(rng):
+    """(feas, obj) with ties, duplicate rows and all-infeasible rows."""
+    A = int(rng.integers(1, 14))
+    P = int(rng.integers(1, 9))
+    # few distinct objective values make ties and comparable rows common
+    obj = rng.integers(-2, 3, size=(A, P)).astype(np.float64) * rng.choice([1.0, 0.25])
+    feas = rng.random((A, P)) < rng.uniform(0.3, 1.0)
+    for a in range(A):
+        draw = rng.random()
+        if draw < 0.15:
+            feas[a] = False
+        elif draw < 0.35 and a:
+            b = int(rng.integers(0, a))
+            feas[a], obj[a] = feas[b], obj[b]
+    return feas, obj
+
+
+class TestUndominatedMaskMatchesLoop:
+    def test_random_payoffs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            feas, obj = random_payoffs(rng)
+            assert np.array_equal(_undominated_mask(feas, obj), reference_mask(feas, obj))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (6, 1)])
+    def test_degenerate_shapes(self, shape):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            feas = rng.random(shape) < 0.6
+            obj = rng.integers(-1, 2, size=shape).astype(np.float64)
+            assert np.array_equal(_undominated_mask(feas, obj), reference_mask(feas, obj))
+
+    def test_all_infeasible_and_duplicates_survive(self):
+        feas = np.zeros((3, 4), dtype=bool)
+        obj = np.arange(12.0).reshape(3, 4)
+        assert _undominated_mask(feas, obj).all()
+        feas[1:] = True
+        obj[2] = obj[1]
+        # rows 1 and 2 are equal and beat row 0 everywhere
+        assert _undominated_mask(feas, obj).tolist() == [False, True, True]
+        assert reference_mask(feas, obj).tolist() == [False, True, True]
+        # feasible beats infeasible however low its objective
+        feas, obj = np.array([[True], [False]]), np.array([[-1e308], [0.0]])
+        assert _undominated_mask(feas, obj).tolist() == [True, False]
+
+    @pytest.mark.parametrize("budget", [1, 97])
+    def test_chunk_budget_does_not_change_results(self, budget, monkeypatch):
+        # 1 compares one row per block; 97 gives blocks that divide no A
+        monkeypatch.setattr(dominance, "_MASK_CHUNK_ELEMENTS", budget)
+        rng = np.random.default_rng(43)
+        for _ in range(500):
+            feas, obj = random_payoffs(rng)
+            assert np.array_equal(_undominated_mask(feas, obj), reference_mask(feas, obj))
+
+    def test_lemma_payoffs(self):
+        rng = np.random.default_rng(44)
+        for kind in ("vcg", "gsp", "fpa"):
+            inst, cfg = lemma_setting(rng, kind)
+            grid = build_closure_grid(inst, cfg)
+            for i in range(2):
+                cands = np.array(list(itertools.product(*[lv.tolist() for lv in grid.levels[i]])))
+                wel, rev, _ = _payoff_tensors(inst, cfg, i, cands, grid, 10**6)
+                for lam in (0.0, 0.5, 1.0):
+                    feas, obj = wel >= rev, wel - lam * rev
+                    assert np.array_equal(_undominated_mask(feas, obj), reference_mask(feas, obj))
 
 
 class TestLemmaChecks:

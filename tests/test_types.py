@@ -66,6 +66,156 @@ class TestInstanceValidation:
             clear(inst, config, BidProfile([[1.0], [2.0]]))
 
 
+def reference_issues(inst):
+    """The per-auction loop `ProblemInstance.issues` replaced; the
+    reference of the differential tests below."""
+    out = []
+    if inst.n < 1:
+        out.append("n must be at least 1")
+    if inst.m < 0:
+        out.append("m must be nonnegative")
+    if len(inst.slots) != inst.m:
+        out.append(f"slots has length {len(inst.slots)}, expected m={inst.m}")
+    if len(inst.pos) != inst.m:
+        out.append(f"pos has length {len(inst.pos)}, expected m={inst.m}")
+    if not np.all(np.isfinite(inst.values)):
+        out.append("values must be finite")
+    if np.any(inst.values < 0):
+        out.append("values must be nonnegative")
+    for j, s in enumerate(inst.slots):
+        if s < 1:
+            out.append(f"auction {j}: slot count must be at least 1")
+            continue
+        if s > inst.n:
+            out.append(f"auction {j}: more slots than bidders ({s} > {inst.n})")
+        if j < len(inst.pos):
+            p = inst.pos[j]
+            if len(p) != s:
+                out.append(f"auction {j}: pos has length {len(p)}, expected {s}")
+            if not np.all(np.isfinite(p)):
+                out.append(f"auction {j}: pos must be finite")
+            elif np.any(p <= 0):
+                out.append(f"auction {j}: pos must be strictly positive")
+            elif np.any(np.diff(p) > 0):
+                out.append(f"auction {j}: pos not nonincreasing")
+    return tuple(out)
+
+
+def malformed_instance(rng):
+    """Small instance that breaks a random subset of the invariants."""
+    n = int(rng.integers(0, 5))
+    m = int(rng.integers(0, 6))
+    values = rng.uniform(0.0, 5.0, size=(n, m))
+    for bad in (-1.0, np.nan, np.inf):
+        values[rng.random((n, m)) < 0.05] = bad
+    n_slots = max(0, m + int(rng.integers(-1, 2))) if rng.random() < 0.3 else m
+    slots = [int(rng.integers(-1, n + 3)) for _ in range(n_slots)]
+    n_pos = max(0, m + int(rng.integers(-1, 2))) if rng.random() < 0.3 else m
+    pos = []
+    for j in range(n_pos):
+        length = slots[j] if j < n_slots and rng.random() < 0.7 else int(rng.integers(0, 5))
+        p = np.sort(rng.uniform(0.1, 1.0, size=max(0, length)))[::-1].copy()
+        # a tie keeps a segment nonincreasing; the other edits break it
+        for edit in rng.choice(7, size=int(rng.integers(0, 3))):
+            if p.size:
+                t = int(rng.integers(0, p.size))
+                p[t] = (np.nan, np.inf, -np.inf, 0.0, -0.5, 2.0, p[t - 1])[edit]
+        pos.append(p)
+    return ProblemInstance(n, m, slots, values, pos)
+
+
+class TestIssuesMatchLoop:
+    def test_random_malformed_instances(self):
+        rng = np.random.default_rng(21)
+        kinds = set()
+        for _ in range(3000):
+            inst = malformed_instance(rng)
+            expected = reference_issues(inst)
+            assert inst.issues == expected
+            kinds.update(s.split(": ")[-1].split(" (")[0] for s in expected)
+        # every message kind was drawn
+        assert {
+            "n must be at least 1",
+            "values must be finite",
+            "values must be nonnegative",
+            "slot count must be at least 1",
+            "more slots than bidders",
+            "pos must be finite",
+            "pos must be strictly positive",
+            "pos not nonincreasing",
+        } <= kinds
+        assert any(k.startswith("pos has length") for k in kinds)
+        assert any(k.startswith("slots has length") for k in kinds)
+
+    @pytest.mark.parametrize(
+        "slots, pos",
+        [
+            ([], []),                                  # m = 0
+            ([2, 1], [[1.0], [1.0, 0.5]]),             # pos shorter and longer than slots
+            ([2, 2], [[np.nan, 0.5], [0.5, np.nan]]),  # NaN first and last in a segment
+            ([1, 2], [[], [0.5, 0.5]]),                # empty segment, then a tie
+            ([2, 2], [[1.0, 0.5], [0.6, 0.7]]),        # rises at the boundary and within auction 1
+            ([2, 1], [[0.5, 0.4], [0.9]]),             # rises across segments: valid
+            ([10**30, 2], [[1.0], [1.0, -1.0]]),       # count past the int64 range
+            ([3, 0, -1], [[1.0, 0.5, 0.2]]),           # pos missing for the last auctions
+        ],
+    )
+    def test_edge_cases(self, slots, pos):
+        m = len(slots)
+        inst = ProblemInstance(2, m, slots, np.ones((2, m)), pos)
+        assert inst.issues == reference_issues(inst)
+
+    def test_valid_instance_has_no_issues(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            inst = random_instance(rng, n_max=6, m_max=8)
+            assert inst.issues == reference_issues(inst) == ()
+
+
+class TestSlotArray:
+    def test_read_only_int64_copy_of_slots(self):
+        inst = good_instance()
+        arr = inst.slot_array
+        assert arr.dtype == np.int64 and arr.tolist() == [2, 1]
+        assert inst.slot_array is arr
+        with pytest.raises(ValueError):
+            arr[0] = 3
+
+    def test_refuses_invalid_instance(self):
+        inst = ProblemInstance(2, 1, [3], [[1.0], [2.0]], [[1.0, 0.5, 0.2]])
+        with pytest.raises(ValueError, match="more slots than bidders"):
+            inst.slot_array
+
+
+class TestOutcomePadding:
+    @pytest.mark.parametrize(
+        "slots", [(2, 1), [2, 1], np.array([2, 1]), np.array([2, 1], dtype=np.int32), [2.0, 1.0]]
+    )
+    def test_slot_container_types(self, slots):
+        out = Outcome([[0, 1], [2, -1]], np.zeros((3, 2)), slots)
+        assert out.slots == (2, 1) and all(type(s) is int for s in out.slots)
+        with pytest.raises(ValueError, match="past an auction's slot count"):
+            Outcome([[0, 1], [2, 0]], np.zeros((3, 2)), slots)
+        with pytest.raises(ValueError, match="winners must have shape"):
+            Outcome([[0, 1, -1], [2, -1, -1]], np.zeros((3, 2)), slots)
+
+    def test_empty_and_malformed_slots(self):
+        assert Outcome(np.zeros((0, 0)), np.zeros((2, 0)), ()).slots == ()
+        assert Outcome(np.zeros((0, 0)), np.zeros((2, 0)), np.array([], dtype=np.int64)).slots == ()
+        with pytest.raises(ValueError, match="winners must have shape"):
+            Outcome(np.zeros((2, 0)), np.zeros((2, 2)), [-3, -5])
+        with pytest.raises(TypeError):
+            Outcome([[0]], np.zeros((1, 1)), [[1]])
+
+    def test_clear_matches_tuple_slots(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            inst = random_instance(rng)
+            out = clear(inst, random_config(rng, inst), random_bids(rng, inst))
+            assert out.slots == inst.slots
+            assert Outcome(out.winners, out.payments, inst.slots) == out
+
+
 class TestMechanismConfig:
     def test_defaults_are_zero(self):
         config = MechanismConfig(AuctionFormat.GSP, 2, 3)
