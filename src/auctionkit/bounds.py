@@ -8,18 +8,23 @@ factors (alpha, beta, mu, nu), then
     Rev >= min((alpha + mu) * beta / (beta + nu), beta) * Wel(OPT)
     Wel >= (alpha + mu) / (1 + max(nu, alpha + mu - beta)) * Wel(OPT).
 
-Six named parameterizations cover the supported mechanism/signal
-combinations; each fixes a signal band (reserves in [gamma*v, v), boosts
-in [mu*v, nu*v)) and a promised constant pair.  Tight-instance
-generators produce small adversarial instances on which the welfare
-bounds are attained up to O(eps), showing they cannot be improved.
+Reserves and boosts come from gamma-approximate value signals, and every
+guarantee depends only on the band those signals land in.  SignalBand is
+that band: reserves in [gamma*v, v), boosts s times a signal, so in
+[gamma*s*v, s*v) with boost scale s of 1 or 1/(1 - gamma).  It owns the
+gamma range, the band edges that the samplers draw from and the
+validator checks, and the map to (beta, mu, nu).  The six named
+corollaries each pair a format and a band with the bid floor alpha; the
+lift experiment's treatments build their bands the same way.
+Tight-instance generators produce small adversarial instances on which
+the welfare bounds are attained up to O(eps), showing they cannot be
+improved.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,14 +35,7 @@ from .clearing import (
     top_value_bidders,
     welfare_per_bidder,
 )
-from .types import (
-    AuctionFormat,
-    BidProfile,
-    MechanismConfig,
-    ProblemInstance,
-    SignalConfig,
-    SignalKind,
-)
+from .types import AuctionFormat, BidProfile, MechanismConfig, ProblemInstance
 
 __all__ = [
     "BoundReport",
@@ -47,6 +45,7 @@ __all__ = [
     "OverlapPartition",
     "PreconditionCheck",
     "PreconditionReport",
+    "SignalBand",
     "TightInstance",
     "assert_corollary",
     "check_lemma1_preconditions",
@@ -90,53 +89,95 @@ def lemma1_bounds(params: LemmaParams) -> tuple[float, float]:
     return rev, wel
 
 
+ROLES = ("reserve", "boost")
+BOOST_SCALES = ("1", "1/(1-gamma)")
+
+
+@dataclass(frozen=True)
+class SignalBand:
+    """Where gamma-approximate value signals put reserves and boosts.
+
+    A signal lands in [gamma*v, v).  A reserve is the signal itself; a
+    boost is the signal times the scale s named by boost, "1" or
+    "1/(1-gamma)", so it lands in [gamma*s*v, s*v).  reserve=False or
+    boost=None leaves that role out.  gamma lies in [0, 1); at gamma = 1
+    the band is empty.
+    """
+
+    gamma: float
+    reserve: bool = False
+    boost: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
+        if self.gamma == 1.0:
+            raise ValueError("gamma = 1 leaves the signal band [gamma*v, v) empty")
+        if self.boost is not None and self.boost not in BOOST_SCALES:
+            raise ValueError(f"boost scale must be one of {BOOST_SCALES}, got {self.boost!r}")
+        object.__setattr__(self, "gamma", float(self.gamma))
+
+    @property
+    def roles(self) -> tuple[str, ...]:
+        return tuple(r for r, on in zip(ROLES, (self.reserve, self.boost is not None)) if on)
+
+    @property
+    def boost_scale(self) -> Optional[float]:
+        if self.boost is None:
+            return None
+        return 1.0 if self.boost == "1" else 1.0 / (1.0 - self.gamma)
+
+    def edges(self, role: str, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[lo, hi) for one role at values v, elementwise."""
+        hi = v if role == "reserve" else self.boost_scale * v
+        return self.gamma * hi, hi
+
+    def params(self, alpha: float = 1.0) -> LemmaParams:
+        """Lemma factors for signals in this band and bids floored at
+        alpha * v: beta = gamma with reserves, [mu, nu) = the boost band
+        over v."""
+        g = self.gamma
+        beta = g if self.reserve else 0.0
+        if self.boost is None:
+            return LemmaParams(alpha, beta)
+        # g / (1 - g), not g * scale: the two differ in the last bit at some gamma
+        mu = g if self.boost == "1" else g / (1.0 - g)
+        return LemmaParams(alpha, beta, mu, self.boost_scale)
+
+
 @dataclass(frozen=True)
 class CorollarySpec:
-    """One named guarantee: mechanism format, signal usage, and the
-    lemma factors as functions of signal quality gamma."""
+    """One named guarantee: a mechanism format, the signal band it draws
+    reserves and boosts from, and its bid floor.  GSP and FPA with
+    reserves only floor bids at the reserve (alpha = gamma); the others
+    at the value (alpha = 1)."""
 
     ident: int
     format: AuctionFormat
-    uses_reserve: bool
-    uses_boost: bool
     label: str
+    reserve: bool = False
+    boost: Optional[str] = None
+    bid_floor_at_reserve: bool = False
+
+    def band(self, gamma: float) -> SignalBand:
+        return SignalBand(gamma, self.reserve, self.boost)
 
     def params(self, gamma: float) -> LemmaParams:
-        g = _check_gamma(gamma)
-        if self.ident == 1:
-            return LemmaParams(alpha=1.0, beta=g)
-        if self.ident == 2:
-            if g >= 1.0:
-                raise ValueError("boost factors diverge at gamma = 1")
-            return LemmaParams(alpha=1.0, beta=0.0, mu=g / (1.0 - g), nu=1.0 / (1.0 - g))
-        if self.ident in (3, 5):
-            return LemmaParams(alpha=1.0, beta=g, mu=g, nu=1.0)
-        # 4 and 6: reserve only, bids floored at the reserve itself
-        return LemmaParams(alpha=g, beta=g)
+        band = self.band(gamma)
+        return band.params(band.gamma if self.bid_floor_at_reserve else 1.0)
 
     def promised(self, gamma: float) -> tuple[float, float]:
         return lemma1_bounds(self.params(gamma))
 
-    def boost_scale(self, gamma: float) -> Optional[float]:
-        if not self.uses_boost:
-            return None
-        return 1.0 / (1.0 - gamma) if self.ident == 2 else 1.0
-
 
 COROLLARIES: dict[int, CorollarySpec] = {
-    1: CorollarySpec(1, AuctionFormat.VCG, True, False, "vcg-reserve"),
-    2: CorollarySpec(2, AuctionFormat.VCG, False, True, "vcg-boost"),
-    3: CorollarySpec(3, AuctionFormat.VCG, True, True, "vcg-reserve-boost"),
-    4: CorollarySpec(4, AuctionFormat.GSP, True, False, "gsp-reserve"),
-    5: CorollarySpec(5, AuctionFormat.GSP, True, True, "gsp-reserve-boost"),
-    6: CorollarySpec(6, AuctionFormat.FPA, True, False, "fpa-reserve"),
+    1: CorollarySpec(1, AuctionFormat.VCG, "vcg-reserve", reserve=True),
+    2: CorollarySpec(2, AuctionFormat.VCG, "vcg-boost", boost="1/(1-gamma)"),
+    3: CorollarySpec(3, AuctionFormat.VCG, "vcg-reserve-boost", reserve=True, boost="1"),
+    4: CorollarySpec(4, AuctionFormat.GSP, "gsp-reserve", reserve=True, bid_floor_at_reserve=True),
+    5: CorollarySpec(5, AuctionFormat.GSP, "gsp-reserve-boost", reserve=True, boost="1"),
+    6: CorollarySpec(6, AuctionFormat.FPA, "fpa-reserve", reserve=True, bid_floor_at_reserve=True),
 }
-
-
-def _check_gamma(gamma: float) -> float:
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    return float(gamma)
 
 
 @dataclass(frozen=True)
@@ -278,34 +319,21 @@ class BoundReport:
 
 
 def _validate_bands(
-    instance: ProblemInstance, config: MechanismConfig, spec: CorollarySpec, gamma: float
+    instance: ProblemInstance, config: MechanismConfig, band: SignalBand, label: str
 ) -> None:
-    v = instance.values
-    r = config.reserves
-    z = config.boosts
-    if spec.uses_reserve:
-        ok = np.where(v > 0, (r >= gamma * v) & (r < v), r == 0.0)
+    for role, x, name in (("reserve", config.reserves, "r"), ("boost", config.boosts, "z")):
+        if role not in band.roles:
+            if x.any():
+                raise ValueError(f"{label} uses no {role}s but config has them")
+            continue
+        lo, hi = band.edges(role, instance.values)
+        ok = np.where(hi > lo, (x >= lo) & (x < hi), x == 0.0)
         if not ok.all():
             i, j = _first_bad(~ok)
             raise ValueError(
-                f"reserve not gamma-approx at bidder {i}, auction {j}: "
-                f"r={r[i, j]:.6g} outside [{gamma * v[i, j]:.6g}, {v[i, j]:.6g})"
+                f"{role} not gamma-approx at bidder {i}, auction {j}: "
+                f"{name}={x[i, j]:.6g} outside [{lo[i, j]:.6g}, {hi[i, j]:.6g})"
             )
-    elif r.any():
-        raise ValueError(f"{spec.label} uses no reserves but config has them")
-    if spec.uses_boost:
-        scale = spec.boost_scale(gamma)
-        lo = gamma * scale * v
-        hi = scale * v
-        ok = np.where(hi > lo, (z >= lo) & (z < hi), z == 0.0)
-        if not ok.all():
-            i, j = _first_bad(~ok)
-            raise ValueError(
-                f"boost not gamma-approx at bidder {i}, auction {j}: "
-                f"z={z[i, j]:.6g} outside [{lo[i, j]:.6g}, {hi[i, j]:.6g})"
-            )
-    elif z.any():
-        raise ValueError(f"{spec.label} uses no boosts but config has them")
 
 
 def assert_corollary(
@@ -324,11 +352,11 @@ def assert_corollary(
     if corollary_id not in COROLLARIES:
         raise ValueError(f"unknown corollary id {corollary_id}")
     spec = COROLLARIES[corollary_id]
-    gamma = _check_gamma(gamma)
+    band = spec.band(gamma)
     if config.format is not spec.format:
         raise ValueError(f"{spec.label} applies to {spec.format.value}, got {config.format.value}")
     params = spec.params(gamma)
-    _validate_bands(instance, config, spec, gamma)
+    _validate_bands(instance, config, band, spec.label)
     rev_bound, wel_bound = lemma1_bounds(params)
     opt = opt_welfare(instance)
     if opt > 0.0:
@@ -345,7 +373,7 @@ def assert_corollary(
     )
     return BoundReport(
         corollary=corollary_id,
-        gamma=gamma,
+        gamma=band.gamma,
         wel_ratio=wel_ratio,
         rev_ratio=rev_ratio,
         wel_bound=wel_bound,
@@ -368,18 +396,20 @@ def _band_draw(lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def sample_signals(
-    instance: ProblemInstance,
-    signal: SignalConfig,
-    seed: Union[int, np.random.Generator],
-) -> np.ndarray:
-    """Draw an in-band reserve or boost matrix, uniform on the band."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u = rng.random(size=instance.values.shape)
+    instance: ProblemInstance, band: SignalBand, seed: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(reserves, boosts) drawn uniform on the band; a role the band
+    leaves out is all zeros.  The reserve draw comes from
+    default_rng([*seed, 1]) and the boost draw from default_rng([*seed, 2])."""
     v = instance.values
-    if signal.kind is SignalKind.RESERVE:
-        return _band_draw(signal.gamma * v, v.copy(), u)
-    hi = signal.boost_scale * v
-    return _band_draw(signal.gamma * hi, hi, u)
+    out = []
+    for stream, role in enumerate(ROLES, start=1):
+        if role in band.roles:
+            u = np.random.default_rng([*seed, stream]).random(size=v.shape)
+            out.append(_band_draw(*band.edges(role, v), u))
+        else:
+            out.append(np.zeros(v.shape))
+    return out[0], out[1]
 
 
 @dataclass(frozen=True)

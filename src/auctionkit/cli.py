@@ -30,16 +30,7 @@ from .bounds import COROLLARIES, assert_corollary, sample_signals, tight_instanc
 from .clearing import clear, opt_welfare, revenue_per_bidder, welfare_per_bidder
 from .dominance import _KIND_FORMAT, LEMMA_KINDS, run_lemma_check
 from .experiments import GeneratorSpec, TreatmentSpec, run_experiment
-from .types import (
-    BidProfile,
-    MechanismConfig,
-    ProblemInstance,
-    SignalConfig,
-    SignalKind,
-    _is_int,
-    _parse_json_file,
-    load_json,
-)
+from .types import BidProfile, MechanismConfig, ProblemInstance, _is_int, _parse_json_file, load_json
 
 log = logging.getLogger("auctionkit.cli")
 
@@ -136,25 +127,12 @@ def _random_setting(rng: np.random.Generator) -> ProblemInstance:
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     spec = COROLLARIES[args.corollary]
-    spec.params(args.gamma)  # reject out-of-range gamma before any sampling
+    band = spec.band(args.gamma)  # reject a bad gamma before any sampling
     rows = []
     failures = 0
     for trial in range(args.trials):
         instance = _random_setting(np.random.default_rng([args.seed, trial, 0]))
-        reserves = None
-        boosts = None
-        if spec.uses_reserve:
-            reserves = sample_signals(
-                instance,
-                SignalConfig(args.gamma, SignalKind.RESERVE),
-                np.random.default_rng([args.seed, trial, 1]),
-            )
-        if spec.uses_boost:
-            boosts = sample_signals(
-                instance,
-                SignalConfig(args.gamma, SignalKind.BOOST, spec.boost_scale(args.gamma)),
-                np.random.default_rng([args.seed, trial, 2]),
-            )
+        reserves, boosts = sample_signals(instance, band, [args.seed, trial])
         config = MechanismConfig(spec.format, instance.n, instance.m, reserves, boosts)
         bids = BidProfile(instance.values)  # truthful satisfies every hypothesis
         outcome = clear(instance, config, bids)

@@ -25,9 +25,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .agents import DynamicsConfig, Trajectory, run_dynamics
-from .bounds import LemmaParams, lemma1_bounds
+from .bounds import ROLES, SignalBand, lemma1_bounds
 from .clearing import opt_welfare
-from .types import AgentState, AuctionFormat, MechanismConfig, ProblemInstance, _is_int
+from .types import AgentState, AuctionFormat, MechanismConfig, ProblemInstance, _is_int, _is_real
 
 __all__ = [
     "GeneratorSpec",
@@ -50,15 +50,19 @@ MAX_SIGNAL_ROUNDS = 1000  # rejection rounds before a signal draw refuses
 class TreatmentSpec:
     """One intervention: which signals to apply and at what accuracy.
 
-    Signals are per-(bidder, auction) truncated Gaussians with mean
-    (1 + gamma) / 2, standard deviation signal_sd, support [gamma, 1).
-    Reserves use r = s * v; boosts use z = s * v / (1 - gamma).
+    band is the SignalBand the treatment draws from: reserves for
+    "reserve", boosts at scale 1/(1 - gamma) for "boost", both for
+    "boost_reserve", none (band None) for the baseline.  Signals are
+    per-(bidder, auction) truncated Gaussians with mean (1 + gamma) / 2,
+    standard deviation signal_sd and support [gamma, 1); a reserve is
+    signal * v, a boost signal * v * scale.  share_draw makes the boost
+    reuse the reserve's draw.
     """
 
     kind: str
     gamma: float = 0.0
     signal_sd: float = 0.01
-    share_draw: bool = False  # boost_reserve: reuse one draw for both roles
+    share_draw: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in TREATMENT_KINDS:
@@ -75,18 +79,11 @@ class TreatmentSpec:
         return f"{self.kind}_g{self.gamma:g}"
 
     @property
-    def uses_reserve(self) -> bool:
-        return self.kind in ("reserve", "boost_reserve")
-
-    @property
-    def uses_boost(self) -> bool:
-        return self.kind in ("boost", "boost_reserve")
-
-    @property
-    def boost_scale(self) -> float:
-        if not self.uses_boost:
-            raise ValueError(f"{self.kind} treatment has no boost scale")
-        return 1.0 / (1.0 - self.gamma)
+    def band(self) -> Optional[SignalBand]:
+        if self.kind == "baseline":
+            return None
+        boost = "1/(1-gamma)" if self.kind != "reserve" else None
+        return SignalBand(self.gamma, reserve=self.kind != "boost", boost=boost)
 
     def to_dict(self) -> dict:
         return {
@@ -98,29 +95,23 @@ class TreatmentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreatmentSpec":
-        return cls(
-            kind=d["kind"],
-            gamma=float(d.get("gamma", 0.0)),
-            signal_sd=float(d.get("signal_sd", 0.01)),
-            share_draw=bool(d.get("share_draw", False)),
-        )
+        extra = set(d) - set(cls("baseline").to_dict())
+        if extra:
+            raise ValueError(f"unknown treatment keys: {sorted(extra)}")
+        gamma, signal_sd = d.get("gamma", 0.0), d.get("signal_sd", 0.01)
+        if not (_is_real(gamma) and _is_real(signal_sd)):
+            raise ValueError("treatment 'gamma' and 'signal_sd' must be numbers")
+        share_draw = d.get("share_draw", False)
+        if not isinstance(share_draw, bool):
+            raise ValueError("treatment 'share_draw' must be true or false")
+        return cls(d["kind"], float(gamma), float(signal_sd), share_draw)
 
 
 def treatment_bound(spec: TreatmentSpec) -> Optional[tuple[float, float]]:
     """(revenue, welfare) guarantee for the signal band a treatment
-    actually induces: reserves land in [gamma v, v), boosts in
-    [gamma v / (1-gamma), v / (1-gamma)).  None for the baseline.
-    Ordered like lemma1_bounds."""
-    if spec.kind == "baseline":
-        return None
-    g = spec.gamma
-    if spec.kind == "reserve":
-        params = LemmaParams(1.0, g)
-    elif spec.kind == "boost":
-        params = LemmaParams(1.0, 0.0, g / (1.0 - g), 1.0 / (1.0 - g))
-    else:
-        params = LemmaParams(1.0, g, g / (1.0 - g), 1.0 / (1.0 - g))
-    return lemma1_bounds(params)
+    draws from; None for the baseline.  Ordered like lemma1_bounds."""
+    band = spec.band
+    return None if band is None else lemma1_bounds(band.params())
 
 
 @dataclass(frozen=True)
@@ -164,7 +155,10 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
-        return cls(**{k: d[k] for k in cls().to_dict() if k in d})
+        extra = set(d) - set(cls().to_dict())
+        if extra:
+            raise ValueError(f"unknown generator keys: {sorted(extra)}")
+        return cls(**d)
 
 
 SeedLike = Union[int, Sequence[int], np.random.SeedSequence]
@@ -225,20 +219,21 @@ def sample_treatment_signals(
     n, m = instance.n, instance.m
     reserves = np.zeros((n, m))
     boosts = np.zeros((n, m))
-    if spec.kind == "baseline":
+    band = spec.band
+    if band is None:
         return reserves, boosts
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    mean = (1.0 + spec.gamma) / 2.0
+    mean = (1.0 + band.gamma) / 2.0
     role_draw = {}
-    for role, stream in zip(("reserve", "boost"), base.spawn(2)):
+    for role, stream in zip(ROLES, base.spawn(2)):
         role_draw[role] = _truncated_gaussian(
-            np.random.default_rng(stream), mean, spec.signal_sd, spec.gamma, 1.0, (n, m)
+            np.random.default_rng(stream), mean, spec.signal_sd, band.gamma, 1.0, (n, m)
         )
-    if spec.uses_reserve:
+    if "reserve" in band.roles:
         reserves = role_draw["reserve"] * instance.values
-    if spec.uses_boost:
+    if "boost" in band.roles:
         s = role_draw["reserve"] if spec.share_draw else role_draw["boost"]
-        boosts = s * instance.values * spec.boost_scale
+        boosts = s * instance.values * band.boost_scale
     return reserves, boosts
 
 
@@ -349,7 +344,8 @@ def _run_treatment(
     gap = opt - wel0
     if spec.kind == "reserve" and abs(wel_t0 - wel0) > 0.01 * gap:
         flags.append("reserve_initial_welfare_shift")
-    if spec.uses_boost and wel_t0 < wel0 - 1e-9 * max(1.0, wel0):
+    boosted = spec.band is not None and "boost" in spec.band.roles
+    if boosted and wel_t0 < wel0 - 1e-9 * max(1.0, wel0):
         flags.append("boost_initial_welfare_drop")
     active = traj.final_rev > 0
     if np.any(traj.final_rev[active] > 1.01 * traj.final_wel[active]):

@@ -25,11 +25,6 @@ class AuctionFormat(enum.Enum):
     FPA = "FPA"
 
 
-class SignalKind(enum.Enum):
-    RESERVE = "reserve"
-    BOOST = "boost"
-
-
 def _as_matrix(a: Any, n: int, m: int, name: str) -> np.ndarray:
     # always copy so freezing never makes the caller's array read-only
     arr = np.array(a, dtype=np.float64, order="C")
@@ -420,39 +415,6 @@ class AgentState:
         return cls(d["lambdas"], d["multipliers"])
 
 
-@dataclass(frozen=True)
-class SignalConfig:
-    """Quality level for approximate value signals.
-
-    gamma in [0, 1] is the signal accuracy: a reserve signal lands in
-    [gamma * v, v) and a boost signal in [gamma * scale * v, scale * v).
-    boost_scale is the multiplicative scale applied to boost signals and is
-    ignored for reserves.
-    """
-
-    gamma: float
-    kind: SignalKind
-    boost_scale: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError("gamma must lie in [0, 1]")
-        if self.kind == SignalKind.BOOST:
-            if self.boost_scale is None or self.boost_scale <= 0:
-                raise ValueError("boost signals need a positive boost_scale")
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "kind": self.kind.value,
-            "boost_scale": self.boost_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SignalConfig":
-        return cls(d["gamma"], SignalKind(d["kind"]), d.get("boost_scale"))
-
-
 def dumps(obj: Any, **kwargs: Any) -> str:
     """Serialize any of the value types above to a JSON string."""
     return json.dumps(obj.to_dict(), **kwargs)
@@ -489,3 +451,8 @@ def _parse_json_file(path: str, parse: Callable[[dict], Any]) -> Any:
 def _is_int(x: Any) -> bool:
     """True for Python and numpy integers, False for bools."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x: Any) -> bool:
+    """True for Python and numpy integers and floats, False for bools."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)

@@ -12,8 +12,7 @@ from auctionkit import (
     MechanismConfig,
     Outcome,
     ProblemInstance,
-    SignalConfig,
-    SignalKind,
+    SignalBand,
     assert_corollary,
     check_lemma1_preconditions,
     clear,
@@ -199,15 +198,7 @@ class TestPreconditions:
 def in_band_config(rng, inst, ident, gamma):
     """Reserves/boosts matching a registry entry's bands."""
     spec = COROLLARIES[ident]
-    reserves = boosts = None
-    if spec.uses_reserve:
-        reserves = sample_signals(inst, SignalConfig(gamma, SignalKind.RESERVE), rng)
-    if spec.uses_boost:
-        boosts = sample_signals(
-            inst,
-            SignalConfig(gamma, SignalKind.BOOST, boost_scale=spec.boost_scale(gamma)),
-            rng,
-        )
+    reserves, boosts = sample_signals(inst, spec.band(gamma), rng.integers(0, 2**31, size=2).tolist())
     return MechanismConfig(spec.format, inst.n, inst.m, reserves, boosts)
 
 
@@ -265,44 +256,46 @@ class TestSampleSignals:
     def test_reserve_in_band(self):
         rng = np.random.default_rng(36)
         inst = random_instance(rng, n_max=10, m_max=10)
-        for gamma in [0.0, 0.3, 0.99]:
-            r = sample_signals(inst, SignalConfig(gamma, SignalKind.RESERVE), rng)
+        for k, gamma in enumerate([0.0, 0.3, 0.99]):
+            r, z = sample_signals(inst, SignalBand(gamma, reserve=True), [36, k])
             v = inst.values
             assert np.all(r[v > 0] >= gamma * v[v > 0])
             assert np.all(r[v > 0] < v[v > 0])
             assert np.all(r[v == 0] == 0.0)
+            assert not z.any()
 
     def test_boost_in_band(self):
         rng = np.random.default_rng(37)
         inst = random_instance(rng, n_max=10, m_max=10)
-        scale = 2.0
-        for gamma in [0.0, 0.5, 0.99]:
-            cfg = SignalConfig(gamma, SignalKind.BOOST, boost_scale=scale)
-            z = sample_signals(inst, cfg, rng)
+        for k, gamma in enumerate([0.0, 0.5, 0.99]):
+            band = SignalBand(gamma, boost="1/(1-gamma)")
+            r, z = sample_signals(inst, band, [37, k])
+            scale = band.boost_scale
             v = inst.values
             assert np.all(z[v > 0] >= gamma * scale * v[v > 0])
             assert np.all(z[v > 0] < scale * v[v > 0])
             assert np.all(z[v == 0] == 0.0)
+            assert not r.any()
 
-    def test_perfect_signal_maps_just_below_value(self):
-        inst = ProblemInstance(1, 1, [1], [[3.0]], [[1.0]])
-        r = sample_signals(inst, SignalConfig(1.0, SignalKind.RESERVE), 0)
-        assert r[0, 0] == np.nextafter(3.0, 0.0)
+    def test_perfect_signal_is_refused(self):
+        # at gamma = 1 the band [gamma*v, v) holds no value to draw
+        for boost in (None, "1", "1/(1-gamma)"):
+            with pytest.raises(ValueError, match=r"^gamma = 1 leaves the signal band \[gamma\*v, v\) empty$"):
+                SignalBand(1.0, reserve=True, boost=boost)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(38)
         inst = random_instance(rng)
-        cfg = SignalConfig(0.4, SignalKind.RESERVE)
-        a = sample_signals(inst, cfg, 123)
-        b = sample_signals(inst, cfg, 123)
-        assert np.array_equal(a, b)
+        band = SignalBand(0.4, reserve=True, boost="1")
+        a = sample_signals(inst, band, [123])
+        b = sample_signals(inst, band, [123])
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_many_draws_stay_in_band(self):
-        rng = np.random.default_rng(39)
         inst = ProblemInstance(2, 2, [1, 1], [[1.0, 5.0], [2.0, 0.0]], [[1.0], [1.0]])
-        cfg = SignalConfig(0.6, SignalKind.RESERVE)
+        band = SignalBand(0.6, reserve=True)
         for seed in range(2500):
-            r = sample_signals(inst, cfg, seed)
+            r, _ = sample_signals(inst, band, [seed])
             v = inst.values
             assert np.all((r[v > 0] >= 0.6 * v[v > 0]) & (r[v > 0] < v[v > 0]))
 

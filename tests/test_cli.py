@@ -33,6 +33,7 @@ from auctionkit.types import save_json
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_clear"
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "golden_verify"
 
 
 def read_tree(root: Path) -> dict:
@@ -82,6 +83,14 @@ class TestUsageErrors:
         # corollary 2's boost scale diverges at gamma = 1
         assert main(["verify-bounds", "--corollary", "2", "--gamma", "1.0", "--trials", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corollary", ["1", "2", "3", "4", "5", "6"])
+    def test_perfect_signal_refused_on_one_line(self, corollary, capsys):
+        argv = ["verify-bounds", "--corollary", corollary, "--gamma", "1.0", "--trials", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gamma = 1 leaves the signal band [gamma*v, v) empty\n"
 
     @pytest.mark.parametrize("command", [
         ["verify-bounds", "--corollary", "1", "--gamma", "0.5"],
@@ -276,6 +285,22 @@ class TestGoldenClear:
         assert capsys.readouterr().out == expected
 
 
+class TestGoldenVerifyBounds:
+    """verify-bounds for every corollary at gamma 0.3 and 0.6, 3 trials,
+    seed 5.  The expected outputs were recorded from the CLI and must not
+    change."""
+
+    @pytest.mark.parametrize("corollary", ["1", "2", "3", "4", "5", "6"])
+    @pytest.mark.parametrize("gamma", ["0.3", "0.6"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_is_byte_identical(self, corollary, gamma, fmt, capsys):
+        argv = ["verify-bounds", "--corollary", corollary, "--gamma", gamma,
+                "--trials", "3", "--seed", "5", "--format", fmt]
+        assert main(argv) == 0
+        expected = (GOLDEN_VERIFY / f"verify_c{corollary}_g{gamma}.{fmt}").read_bytes().decode()
+        assert capsys.readouterr().out == expected
+
+
 class TestMalformedInputFiles:
     @pytest.mark.parametrize("flag", ["--instance", "--mechanism", "--bids"])
     @pytest.mark.parametrize("content", ['{"unrelated": 1}', "[1, 2]"])
@@ -369,6 +394,14 @@ class TestRunExperiment:
             {"treatments": []},
             # one bidder wins everything, so no seed gives a gap to measure
             {"generator": {"n": 1, "m": 2, "s_max": 1, "zero_prob": 0.0}, "runs": 1},
+            # unknown keys and values of the wrong JSON type
+            {"generator": {"nn": 5}},
+            {"treatments": [{"kind": "reserve", "gamma": 0.5, "sd": 0.1}]},
+            {"treatments": [{"kind": "boost_reserve", "gamma": 0.5, "share_draw": "false"}]},
+            {"treatments": [{"kind": "boost_reserve", "gamma": 0.5, "share_draw": 1}]},
+            {"treatments": [{"kind": "reserve", "gamma": "0.5"}]},
+            {"treatments": [{"kind": "reserve", "gamma": 0.5, "signal_sd": "0.01"}]},
+            {"treatments": [{"kind": "reserve", "gamma": 0.5, "signal_sd": True}]},
         ],
     )
     def test_malformed_config_names_file_on_one_line(self, overrides, tmp_path, capsys):

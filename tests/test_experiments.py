@@ -7,15 +7,25 @@ import numpy as np
 import pytest
 
 from auctionkit import (
+    AgentState,
+    AuctionFormat,
     DynamicsConfig,
+    MechanismConfig,
     GeneratorSpec,
     TreatmentSpec,
     emit_plot_data,
     generate_instance,
     lemma1_bounds,
+    opt_welfare,
+    run_dynamics,
     run_experiment,
 )
-from auctionkit.experiments import _truncated_gaussian, sample_treatment_signals, treatment_bound
+from auctionkit.experiments import (
+    _run_treatment,
+    _truncated_gaussian,
+    sample_treatment_signals,
+    treatment_bound,
+)
 
 
 SMALL = GeneratorSpec(n=6, m=40, s_max=3)
@@ -60,11 +70,13 @@ class TestTreatmentSpec:
     def test_labels_and_roles(self):
         t = TreatmentSpec("boost_reserve", 0.25)
         assert t.label == "boost_reserve_g0.25"
-        assert t.uses_reserve and t.uses_boost
-        assert t.boost_scale == pytest.approx(4 / 3, abs=1e-15)
+        assert t.band.roles == ("reserve", "boost")
+        assert t.band.boost_scale == pytest.approx(4 / 3, abs=1e-15)
         assert TreatmentSpec("baseline").label == "baseline"
-        with pytest.raises(ValueError, match="boost scale"):
-            TreatmentSpec("reserve", 0.5).boost_scale
+        assert TreatmentSpec("baseline").band is None
+        assert TreatmentSpec("reserve", 0.5).band.roles == ("reserve",)
+        assert TreatmentSpec("reserve", 0.5).band.boost_scale is None
+        assert TreatmentSpec("boost", 0.5).band.roles == ("boost",)
 
     def test_round_trip(self):
         t = TreatmentSpec("boost", 0.4, signal_sd=0.02, share_draw=True)
@@ -174,9 +186,9 @@ class TestSignals:
         r2, z2 = sample_treatment_signals(inst, shared, 5)
         pos = inst.values > 0
         # shared: the boost is exactly the reserve rescaled
-        assert np.allclose(z2[pos], r2[pos] * indep.boost_scale, rtol=0, atol=0)
+        assert np.allclose(z2[pos], r2[pos] * indep.band.boost_scale, rtol=0, atol=0)
         # independent: the two roles use different draws
-        assert not np.allclose(z1[pos], r1[pos] * indep.boost_scale)
+        assert not np.allclose(z1[pos], r1[pos] * indep.band.boost_scale)
 
     def test_deterministic_per_seed(self):
         inst = generate_instance(SMALL, 2)
@@ -238,6 +250,20 @@ class TestRunExperiment:
         for r in rep.per_run("boost_g0.5"):
             avg = r.trajectory.avg_multiplier()
             assert avg[-1] > avg[0]
+
+    def test_flags_follow_the_treatment_roles(self):
+        # bids at 0.3 v sit under reserves near 0.95 v, so every treatment
+        # with reserves loses welfare at once; only a boost may flag it as a
+        # boost drop
+        inst = generate_instance(SMALL, 4)
+        cfg = MechanismConfig(AuctionFormat.VCG, inst.n, inst.m)
+        dyn = DynamicsConfig(treatment_iters=1)
+        pre = run_dynamics(inst, cfg, AgentState(np.zeros(inst.n), np.full(inst.n, 0.3)), dyn, iters=0)
+        expected = {"reserve": {"reserve_initial_welfare_shift"},
+                    "boost_reserve": {"boost_initial_welfare_drop"}, "boost": set()}
+        for kind, flags in expected.items():
+            result = _run_treatment(inst, pre, opt_welfare(inst), TreatmentSpec(kind, 0.9), dyn, 0, 0)
+            assert set(result.flags) - {"ros_violation"} == flags, kind
 
     def test_ros_feasible_at_convergence(self):
         rep = small_report()

@@ -10,8 +10,6 @@ from auctionkit import (
     MechanismConfig,
     Outcome,
     ProblemInstance,
-    SignalConfig,
-    SignalKind,
     clear,
     load_json,
     save_json,
@@ -245,18 +243,6 @@ class TestAgentState:
         assert AgentState([0.0, 1.0], [1.0, 2.0]).issues == ()
         assert AgentState([-0.1], [1.0]).issues
         assert AgentState([0.5], [0.0]).issues
-
-
-class TestSignalConfig:
-    def test_gamma_range(self):
-        SignalConfig(0.5, SignalKind.RESERVE)
-        with pytest.raises(ValueError):
-            SignalConfig(1.5, SignalKind.RESERVE)
-
-    def test_boost_needs_scale(self):
-        SignalConfig(0.4, SignalKind.BOOST, boost_scale=1.0 / 0.6)
-        with pytest.raises(ValueError):
-            SignalConfig(0.4, SignalKind.BOOST)
 
 
 class TestRoundTrips:
