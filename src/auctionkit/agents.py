@@ -35,6 +35,7 @@ from .types import (
     MechanismConfig,
     ProblemInstance,
     _is_int,
+    _is_real,
 )
 
 __all__ = [
@@ -66,6 +67,9 @@ class DynamicsConfig:
     max_multiplier: float = 1e3
 
     def __post_init__(self) -> None:
+        if not all(map(_is_real, (self.eta0, self.tau, self.convergence_tol,
+                                  self.min_multiplier, self.max_multiplier))):
+            raise ValueError("eta0, tau, convergence_tol and the multiplier clamps must be finite numbers")
         if not 0.0 < self.eta0 < 1.0:
             raise ValueError("eta0 must lie in (0, 1)")
         if self.tau <= 0.0:

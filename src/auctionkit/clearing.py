@@ -94,11 +94,11 @@ def clear(instance: ProblemInstance, config: MechanismConfig, bids: BidProfile) 
 def opt_welfare(instance: ProblemInstance) -> float:
     """Welfare of the value-sorted allocation: top slots to top values."""
     instance.require_valid()
+    # one sort for all auctions; row j holds auction j's values, largest first
+    top = np.ascontiguousarray(-np.sort(-instance.values, axis=0).T)
     total = 0.0
-    for j in range(instance.m):
-        s = instance.slots[j]
-        top = -np.sort(-instance.values[:, j])[:s]
-        total += float(np.dot(top, instance.pos[j]))
+    for row, p in zip(top, instance.pos):
+        total += float(np.dot(row[: len(p)], p))  # np.dot fixes the summation order
     return total
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -30,7 +31,9 @@ from .bounds import COROLLARIES, assert_corollary, sample_signals, tight_instanc
 from .clearing import clear, opt_welfare, revenue_per_bidder, welfare_per_bidder
 from .dominance import _KIND_FORMAT, LEMMA_KINDS, run_lemma_check
 from .experiments import GeneratorSpec, TreatmentSpec, run_experiment
-from .types import BidProfile, MechanismConfig, ProblemInstance, _is_int, _parse_json_file, load_json
+from .types import (
+    BidProfile, MechanismConfig, ProblemInstance, _indented_json, _is_int, _parse_json_file, load_json,
+)
 
 log = logging.getLogger("auctionkit.cli")
 
@@ -59,14 +62,16 @@ def _resolved_config(args: argparse.Namespace, **extra) -> CliConfig:
     return CliConfig(subcommand=args.command, flags=flags)
 
 
-def _stamp(out_dir: Path, cfg: CliConfig) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "config.json"
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    log.info("wrote %s", path)
-    return path
+def _write_out(args: argparse.Namespace, files: dict[str, str], **extra) -> None:
+    """Stamp the resolved configuration into <out>/config.json, then write
+    each named file's text there."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    stamp = _indented_json(_resolved_config(args, **extra).to_dict()) + "\n"
+    for name, text in {"config.json": stamp, **files}.items():
+        with open(out / name, "w") as fh:
+            fh.write(text)
+        log.info("wrote %s", out / name)
 
 
 def _jsonl(obj: dict) -> str:
@@ -91,8 +96,10 @@ def _cmd_clear(args: argparse.Namespace) -> int:
         "revenue": float(rev.sum()),
         "opt_welfare": opt_welfare(instance),
     }
+    # encoded once: stdout and outcome.json hold the same bytes
+    text = _indented_json(payload) if args.format == "json" or args.out is not None else ""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(text)
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(["auction", "slot", "winner", "payment"])
@@ -101,13 +108,7 @@ def _cmd_clear(args: argparse.Namespace) -> int:
                 pay = repr(float(outcome.payments[i, j])) if i >= 0 else ""
                 writer.writerow([j, k, int(i), pay])
     if args.out is not None:
-        out = Path(args.out)
-        _stamp(out, _resolved_config(args))
-        path = out / "outcome.json"
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        log.info("wrote %s", path)
+        _write_out(args, {"outcome.json": text + "\n"})
     return 0
 
 
@@ -158,13 +159,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
                  repr(row["rev_bound"]), int(all(c["ok"] for c in row["preconditions"].values()))]
             )
     if args.out is not None:
-        out = Path(args.out)
-        _stamp(out, _resolved_config(args))
-        path = out / "reports.jsonl"
-        with open(path, "w") as fh:
-            for row in rows:
-                fh.write(_jsonl(row) + "\n")
-        log.info("wrote %s", path)
+        _write_out(args, {"reports.jsonl": "".join(_jsonl(row) + "\n" for row in rows)})
     return 1 if failures else 0
 
 
@@ -199,13 +194,7 @@ def _cmd_check_dominance(args: argparse.Namespace) -> int:
     for row in rows:
         print(_jsonl(row))
     if args.out is not None:
-        out = Path(args.out)
-        _stamp(out, _resolved_config(args))
-        path = out / "reports.jsonl"
-        with open(path, "w") as fh:
-            for row in rows:
-                fh.write(_jsonl(row) + "\n")
-        log.info("wrote %s", path)
+        _write_out(args, {"reports.jsonl": "".join(_jsonl(row) + "\n" for row in rows)})
     return 1 if failures else 0
 
 
@@ -244,14 +233,7 @@ def _cmd_tight_instances(args: argparse.Namespace) -> int:
     for rec in records:
         print(_jsonl(rec))
     if args.out is not None:
-        out = Path(args.out)
-        _stamp(out, _resolved_config(args))
-        for rec in records:
-            path = out / f"tight_{rec['kind']}.json"
-            with open(path, "w") as fh:
-                json.dump(rec, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            log.info("wrote %s", path)
+        _write_out(args, {f"tight_{rec['kind']}.json": _indented_json(rec) + "\n" for rec in records})
     return 1 if failures else 0
 
 
@@ -271,6 +253,9 @@ def _experiment_from_dict(raw: dict) -> dict:
         raise ValueError("'generator' and 'dynamics' must be JSON objects")
     if not isinstance(treatments, list) or not all(isinstance(t, dict) for t in treatments):
         raise ValueError("'treatments' must be a list of JSON objects")
+    extra = set(dynamics) - {f.name for f in dataclasses.fields(DynamicsConfig)}
+    if extra:
+        raise ValueError(f"unknown dynamics keys: {sorted(extra)}")
     runs, master_seed = raw.get("runs", 10), raw.get("master_seed", 0)
     if not (_is_int(runs) and _is_int(master_seed)):
         raise ValueError("'runs' and 'master_seed' must be integers")
@@ -306,7 +291,7 @@ def _cmd_run_experiment(args: argparse.Namespace) -> int:
         "runs": exp["runs"],
         "master_seed": exp["master_seed"],
     }
-    _stamp(out, _resolved_config(args, experiment=resolved))
+    _write_out(args, {}, experiment=resolved)
     print(f"runs={report.runs} rejected={report.rejected_runs}")
     for row in report.summary_rows():
         print(
@@ -330,7 +315,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="auctionkit",
         description="Position auctions with reserves and boosts: clearing, "

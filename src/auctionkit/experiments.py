@@ -69,6 +69,8 @@ class TreatmentSpec:
             raise ValueError(f"unknown treatment kind {self.kind!r}")
         if self.kind != "baseline" and not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1) for signal treatments")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError("gamma must be in [0, 1)")
         if self.signal_sd <= 0.0:
             raise ValueError("signal_sd must be positive")
 
@@ -100,7 +102,7 @@ class TreatmentSpec:
             raise ValueError(f"unknown treatment keys: {sorted(extra)}")
         gamma, signal_sd = d.get("gamma", 0.0), d.get("signal_sd", 0.01)
         if not (_is_real(gamma) and _is_real(signal_sd)):
-            raise ValueError("treatment 'gamma' and 'signal_sd' must be numbers")
+            raise ValueError("treatment 'gamma' and 'signal_sd' must be finite numbers")
         share_draw = d.get("share_draw", False)
         if not isinstance(share_draw, bool):
             raise ValueError("treatment 'share_draw' must be true or false")
@@ -131,6 +133,8 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if not (_is_int(self.n) and _is_int(self.m) and _is_int(self.s_max)):
             raise ValueError("n, m and s_max must be integers")
+        if not all(map(_is_real, (self.quality_sigma, self.value_sigma, self.zero_prob, self.pos_decay))):
+            raise ValueError("quality_sigma, value_sigma, zero_prob and pos_decay must be finite numbers")
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be at least 1")
         if not 1 <= self.s_max <= self.n:

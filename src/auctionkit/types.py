@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,9 @@ def _as_matrix(a: Any, n: int, m: int, name: str) -> np.ndarray:
 
 
 def _as_vector(a: Any, name: str) -> np.ndarray:
-    arr = np.array(a, dtype=np.float64, order="C")
+    # a frozen float64 array that owns its data can be shared as it is
+    frozen = type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable
+    arr = a if frozen else np.array(a, dtype=np.float64, order="C")
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     arr.setflags(write=False)
@@ -240,17 +243,13 @@ class MechanismConfig:
 
     @classmethod
     def from_dict(cls, d: dict, n: Optional[int] = None, m: Optional[int] = None) -> "MechanismConfig":
-        reserves = d.get("reserves")
-        boosts = d.get("boosts")
-        if reserves is not None:
-            arr = np.asarray(reserves, dtype=np.float64)
-            n, m = arr.shape
-        elif boosts is not None:
-            arr = np.asarray(boosts, dtype=np.float64)
-            n, m = arr.shape
+        # each matrix is converted from its nested lists once; the first one sets the shape
+        mats = {k: np.asarray(d[k], dtype=np.float64) for k in ("reserves", "boosts") if d.get(k) is not None}
+        if mats:
+            n, m = next(iter(mats.values())).shape
         if n is None or m is None:
             raise ValueError("mechanism config without matrices needs explicit n and m")
-        return cls(AuctionFormat(d["format"]), n, m, reserves, boosts)
+        return cls(AuctionFormat(d["format"]), n, m, mats.get("reserves"), mats.get("boosts"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,8 +347,9 @@ class Outcome:
         )
 
     def to_dict(self) -> dict:
+        js, ks = np.nonzero(self.winners >= 0)
         return {
-            "allocation": [list(t) for t in self.allocation_triples()],
+            "allocation": np.stack([self.winners[js, ks], js, ks], axis=1).tolist(),
             "payments": self.payments.tolist(),
             "slots": list(self.slots),
         }
@@ -422,8 +422,41 @@ def dumps(obj: Any, **kwargs: Any) -> str:
 
 def save_json(obj: Any, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_indented_json(obj.to_dict()) + "\n")
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    # without indent json runs its C encoder; the line break rides in the item separator
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+
+
+def _indented_json(obj: Any, depth: int = 0) -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), which encodes in
+    pure Python.  Here every list or object that holds no container, and
+    every list of number lists, is one call to the C encoder."""
+    containers = (dict, list, tuple)
+    if not isinstance(obj, containers) or not obj:
+        return _flat_encoder(0).encode(obj)
+    pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if not any(isinstance(x, containers) for x in (obj.values() if isinstance(obj, dict) else obj)):
+        text = _flat_encoder(depth + 1).encode(obj)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):  # json converts and orders such keys itself
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+        body = [json.encoder.encode_basestring_ascii(k) + ": " + _indented_json(obj[k], depth + 1)
+                for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if all(isinstance(x, (list, tuple)) and x for x in obj):
+        deep = "\n" + "  " * (depth + 2)
+        text = _flat_encoder(depth + 2).encode(obj)
+        # encoded strings hold no raw line break, so with no objects and no deeper
+        # lists "],<deep>[" only sits between two rows
+        if "{" not in text and text.count("[") == len(obj) + 1:
+            rows = text[2:-2].replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
+            return "[" + inner + "[" + deep + rows + inner + "]" + pad + "]"
+    return "[" + inner + ("," + inner).join(_indented_json(x, depth + 1) for x in obj) + pad + "]"
 
 
 def load_json(cls: type, path: str) -> Any:
@@ -454,5 +487,5 @@ def _is_int(x: Any) -> bool:
 
 
 def _is_real(x: Any) -> bool:
-    """True for Python and numpy integers and floats, False for bools."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """True for Python and numpy integers and finite floats, False for bools."""
+    return _is_int(x) or (isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x))

@@ -59,6 +59,12 @@ class TestScalarHelpers:
         with pytest.raises(ValueError):
             DynamicsConfig(convergence_tol=0.0)
 
+    @pytest.mark.parametrize("field", ["eta0", "tau", "convergence_tol", "min_multiplier", "max_multiplier"])
+    @pytest.mark.parametrize("value", [True, math.nan, math.inf, -math.inf, "0.5", None])
+    def test_float_fields_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match="must be finite numbers"):
+            DynamicsConfig(**{field: value})
+
 
 class TestUniformBids:
     def test_identity_and_scaling(self):

@@ -143,6 +143,37 @@ class TestOracleEquivalence:
             assert opt_welfare(inst) == pytest.approx(expect, rel=1e-12)
 
 
+def loop_opt_welfare(inst):
+    """The per-auction loop opt_welfare replaced, kept as the bits to match."""
+    total = 0.0
+    for j in range(inst.m):
+        top = -np.sort(-inst.values[:, j])[: inst.slots[j]]
+        total += float(np.dot(top, inst.pos[j]))
+    return total
+
+
+class TestOptWelfareMatchesLoop:
+    def test_random_instances(self):
+        rng = np.random.default_rng(11)
+        for k in range(2000):
+            inst = random_instance(rng, n_max=24, m_max=12, s_max=12)
+            if k % 2:  # exact value ties, with the zeros stored as -0.0 in half of them
+                values = np.round(inst.values)
+                if k % 4 == 3:
+                    values[values == 0] = -0.0
+                inst = ProblemInstance(inst.n, inst.m, inst.slots, values, inst.pos)
+            assert opt_welfare(inst).hex() == loop_opt_welfare(inst).hex(), inst.to_dict()
+
+    def test_wide_market(self):
+        rng = np.random.default_rng(12)
+        n, m = 20, 1000
+        values = rng.lognormal(0.0, 0.5, size=n)[:, None] * rng.lognormal(0.0, 1.0, size=(n, m))
+        values[rng.random((n, m)) < 0.3] = 0.0
+        slots = rng.integers(1, 5, size=m)
+        inst = ProblemInstance(n, m, slots, values, [0.5 ** np.arange(s, dtype=np.float64) for s in slots])
+        assert opt_welfare(inst).hex() == loop_opt_welfare(inst).hex()
+
+
 class TestBatchEquality:
     """The vectorized engine is bit-identical to the per-auction oracle."""
 

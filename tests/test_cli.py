@@ -10,12 +10,13 @@ import dataclasses
 import json
 import logging
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from auctionkit import (
@@ -26,7 +27,7 @@ from auctionkit import (
     clear,
 )
 from auctionkit.agents import DynamicsConfig
-from auctionkit.cli import TIGHT_KINDS, main
+from auctionkit.cli import TIGHT_KINDS, _build_parser, main
 from auctionkit.dominance import LEMMA_KINDS
 from auctionkit.experiments import GeneratorSpec, TreatmentSpec
 from auctionkit.types import save_json
@@ -34,6 +35,7 @@ from auctionkit.types import save_json
 
 GOLDEN = Path(__file__).parent / "data" / "golden_clear"
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "golden_verify"
+GOLDEN_OUT = Path(__file__).parent / "data" / "golden_out"
 
 
 def read_tree(root: Path) -> dict:
@@ -78,6 +80,18 @@ class TestUsageErrors:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "auctionkit" in capsys.readouterr().out
+
+    def test_one_parser_serves_every_call(self, capsys):
+        assert _build_parser() is _build_parser()
+        # a refused call leaves nothing behind for the next one
+        assert main(["verify-bounds", "--corollary", "2", "--gamma", "0.3", "--trials", "0"]) == 2
+        assert main(["verify-bounds", "--corollary", "2", "--gamma", "0.3", "--trials", "3",
+                     "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert main(["verify-bounds", "--corollary", "2", "--gamma", "0.3", "--trials", "3",
+                     "--seed", "5", "--format", "csv"]) == 0
+        expected = (GOLDEN_VERIFY / "verify_c2_g0.3.csv").read_bytes().decode()
+        assert capsys.readouterr().out == expected
 
     def test_degenerate_gamma_rejected(self, capsys):
         # corollary 2's boost scale diverges at gamma = 1
@@ -301,6 +315,29 @@ class TestGoldenVerifyBounds:
         assert capsys.readouterr().out == expected
 
 
+class TestGoldenOutDirs:
+    """Whole --out directories, config.json included, recorded from the CLI
+    with relative paths; they must not change."""
+
+    @pytest.mark.parametrize("fmt", ["vcg", "gsp", "fpa"])
+    def test_clear_out_is_byte_identical(self, fmt, tmp_path, monkeypatch, capsys):
+        for name in ("instance.json", "bids.json", f"mechanism_{fmt}.json"):
+            shutil.copy(GOLDEN / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        argv = ["clear", "--instance", "instance.json", "--mechanism", f"mechanism_{fmt}.json",
+                "--bids", "bids.json", "--out", "out"]
+        assert main(argv) == 0
+        assert read_tree(tmp_path / "out") == read_tree(GOLDEN_OUT / f"clear_{fmt}")
+        # stdout holds the same bytes as outcome.json
+        assert capsys.readouterr().out.encode() == (tmp_path / "out" / "outcome.json").read_bytes()
+
+    def test_tight_instances_out_is_byte_identical(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["tight-instances", "--gamma", "0.3", "--out", "out"]) == 0
+        capsys.readouterr()
+        assert read_tree(tmp_path / "out") == read_tree(GOLDEN_OUT / "tight_g0.3")
+
+
 class TestMalformedInputFiles:
     @pytest.mark.parametrize("flag", ["--instance", "--mechanism", "--bids"])
     @pytest.mark.parametrize("content", ['{"unrelated": 1}', "[1, 2]"])
@@ -365,6 +402,11 @@ class TestRunExperiment:
         assert main(argv) == 2
         assert "unknown experiment config keys" in capsys.readouterr().err
 
+    def test_unknown_dynamics_keys_named_by_repr(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, dynamics={"\n": None, "eta": 0.1})
+        assert main(["run-experiment", "--config", path, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: unknown dynamics keys: ['\\n', 'eta']\n"
+
     def test_config_without_treatments(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"generator": {}}))
@@ -402,6 +444,15 @@ class TestRunExperiment:
             {"treatments": [{"kind": "reserve", "gamma": "0.5"}]},
             {"treatments": [{"kind": "reserve", "gamma": 0.5, "signal_sd": "0.01"}]},
             {"treatments": [{"kind": "reserve", "gamma": 0.5, "signal_sd": True}]},
+            # unknown dynamics keys, bools and non-finite floats, a baseline gamma outside [0, 1)
+            {"dynamics": {"\n": None}},
+            {"generator": {"n": 5, "m": 30, "s_max": 2, "quality_sigma": True}},
+            {"generator": {"n": 5, "m": 30, "s_max": 2, "value_sigma": math.inf}},
+            {"dynamics": {"tau": True}},
+            {"dynamics": {"convergence_tol": math.nan}},
+            {"dynamics": {"max_multiplier": math.inf}},
+            {"treatments": [{"kind": "baseline", "gamma": 7}]},
+            {"treatments": [{"kind": "baseline", "gamma": -0.5}]},
         ],
     )
     def test_malformed_config_names_file_on_one_line(self, overrides, tmp_path, capsys):
@@ -460,6 +511,7 @@ class TestExperimentConfigFuzz:
     @settings(max_examples=120, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(key=st.sampled_from(CONFIG_KEYS), value=json_values)
+    @example(key=("dynamics",), value={"\n": None})
     def test_wrong_value_exits_zero_or_two_on_one_line(self, key, value, capsys):
         cfg = copy.deepcopy(SMALL_EXPERIMENT)
         if key:

@@ -1,6 +1,7 @@
 """Experiment harness: generator, signal sampling, lifts, persistence."""
 
 import filecmp
+import math
 import time
 
 import numpy as np
@@ -67,6 +68,13 @@ class TestTreatmentSpec:
             TreatmentSpec("reserve", 0.5, signal_sd=0.0)
         TreatmentSpec("baseline")  # gamma irrelevant
 
+    @pytest.mark.parametrize("gamma", [7.0, 1.0, -0.5, math.nan, math.inf])
+    def test_baseline_gamma_in_unit_interval(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\)"):
+            TreatmentSpec("baseline", gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            TreatmentSpec.from_dict({"kind": "baseline", "gamma": gamma})
+
     def test_labels_and_roles(self):
         t = TreatmentSpec("boost_reserve", 0.25)
         assert t.label == "boost_reserve_g0.25"
@@ -106,6 +114,14 @@ class TestGenerator:
             GeneratorSpec(zero_prob=1.0)
         with pytest.raises(ValueError):
             GeneratorSpec(pos_decay=1.0)
+
+    @pytest.mark.parametrize("field", ["quality_sigma", "value_sigma", "zero_prob", "pos_decay"])
+    @pytest.mark.parametrize("value", [True, False, math.nan, math.inf, "0.5", None])
+    def test_float_fields_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match="must be finite numbers"):
+            GeneratorSpec(**{field: value})
+        with pytest.raises(ValueError, match="must be finite numbers"):
+            GeneratorSpec.from_dict({field: value})
 
     def test_deterministic_and_seeded(self):
         a = generate_instance(SMALL, 11)

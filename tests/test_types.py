@@ -1,7 +1,12 @@
 """Validation and serialization round-trips for the core data types."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionkit import (
     AgentState,
@@ -15,6 +20,7 @@ from auctionkit import (
     save_json,
     validate_instance,
 )
+from auctionkit.types import _indented_json, _is_real
 from conftest import random_bids, random_config, random_instance
 
 
@@ -236,6 +242,42 @@ class TestMechanismConfig:
         values = np.ones((2, 1))
         ProblemInstance(2, 1, [1], values, [[1.0]])
         values[0, 0] = 5.0
+        pos = np.ones(1)
+        ProblemInstance(2, 1, [1], values, [pos])
+        pos[0] = 0.5
+
+
+class TestIsReal:
+    @pytest.mark.parametrize("x", [0, -3, 10**400, np.int64(7), 0.5, -1e308, np.float64(2.5)])
+    def test_finite_numbers(self, x):
+        assert _is_real(x)
+
+    @pytest.mark.parametrize("x", [True, False, np.bool_(True), math.nan, math.inf, -math.inf,
+                                   np.float64("nan"), "1", None, [1.0]])
+    def test_everything_else(self, x):
+        assert not _is_real(x)
+
+
+class TestPosSharing:
+    """A frozen float64 vector that owns its data is shared, not copied."""
+
+    def test_frozen_rows_are_shared(self):
+        inst = good_instance()
+        tiled = ProblemInstance(3, 4, [2] * 4, np.ones((3, 4)), [inst.pos[0]] * 4)
+        assert all(p is inst.pos[0] for p in tiled.pos)
+        assert tiled == ProblemInstance(3, 4, [2] * 4, np.ones((3, 4)), [inst.pos[0].tolist()] * 4)
+
+    def test_everything_else_is_copied_and_frozen(self):
+        base = np.array([1.0, 0.5, 0.25])
+        frozen_view = base[:2]
+        frozen_view.setflags(write=False)
+        wide = np.array([1.0, 0.5], dtype=np.float32)
+        wide.setflags(write=False)
+        for vec in (base, frozen_view, wide, [1.0, 0.5]):
+            inst = ProblemInstance(2, 1, [2], np.ones((2, 1)), [vec])
+            assert inst.pos[0] is not vec and inst.pos[0].dtype == np.float64
+            assert not inst.pos[0].flags.writeable
+        assert base.flags.writeable  # the caller's array is never frozen
 
 
 class TestAgentState:
@@ -313,6 +355,15 @@ class TestOutcomeAccessors:
         for i, j, k in triples:
             assert out.slot_of(i, j) == k
 
+    def test_to_dict_allocation_is_the_triples(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            inst = random_instance(rng, n_max=6, m_max=5)
+            out = clear(inst, random_config(rng, inst), random_bids(rng, inst))
+            alloc = out.to_dict()["allocation"]
+            assert alloc == [list(t) for t in out.allocation_triples()]
+            assert all(type(x) is int for t in alloc for x in t)
+
     def test_slot_of_loser_is_none(self):
         inst = good_instance()
         config = MechanismConfig(AuctionFormat.GSP, 3, 2)
@@ -333,3 +384,63 @@ class TestPublicSurface:
         }
         assert set(auctionkit.__all__) == public
         assert len(auctionkit.__all__) == len(public)
+
+
+# JSON leaves: every float json treats specially, big ints, bools, None, and
+# strings with escapes, quotes, brackets and non-ASCII characters
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e308, math.inf, -math.inf, math.nan, 10**30])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(st.sampled_from('a\u00e9\u4e2d\U0001f600"\\\n\t\x00[]{},: '), max_size=5)
+)
+json_keys = st.text(st.sampled_from('ab\u00e9\u4e2d"\\\n\x7f]['), max_size=4)
+json_numbers = st.integers(-5, 10**20) | st.floats(allow_nan=True, allow_infinity=True)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=4)
+    # rows of numbers, the shape payment matrices and allocations take
+    | st.lists(st.lists(json_numbers, min_size=1, max_size=4), min_size=1, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestIndentedJson:
+    """_indented_json is a faster json.dumps(obj, indent=2, sort_keys=True)."""
+
+    @staticmethod
+    def reference(obj):
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(json_values)
+    def test_matches_json_dumps(self, obj):
+        assert _indented_json(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [1]], [[1], []], [[[]]], [[[1, 2]], [3]],
+            [[1.5, -0.0], [math.nan, -math.inf]], [[1, "a"], [2]], [["],"], [1]], [[{"a": 1}], [2]],
+            {"\u00e9\n": [[1e-300, 10**30]], "\"": {"x": [True, None]}}, ([1, 2], (3, 4)),
+            {2: [1], 1: {}, 3: [[1]]}, {1.5: [[1]], 0.5: 2}, {None: [[]]}, {True: [0], False: {}},
+            {"b": {1: 2}, "a": [0]}, "\u4e2d", -0.0, 10**30,
+        ],
+    )
+    def test_edge_cases(self, obj):
+        assert _indented_json(obj) == self.reference(obj)
+
+    def test_clear_payload(self):
+        rng = np.random.default_rng(13)
+        inst = random_instance(rng, n_max=20, m_max=60, s_max=4)
+        out = clear(inst, random_config(rng, inst), random_bids(rng, inst))
+        payload = {**out.to_dict(), "values": inst.values.tolist(), "welfare": float(rng.random())}
+        assert _indented_json(payload) == self.reference(payload)
+
+    def test_save_json_writes_the_indented_form(self, tmp_path):
+        inst = good_instance()
+        save_json(inst, tmp_path / "i.json")
+        assert (tmp_path / "i.json").read_text() == self.reference(inst.to_dict()) + "\n"
